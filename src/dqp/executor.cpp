@@ -43,7 +43,7 @@ void rotate_end_to_back(std::vector<overlay::Provider>& chain,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Legacy-identical primitives.
+// Primitives shared by the fire handlers.
 
 overlay::HybridOverlay::Located DagExecutor::locate(
     const rdf::TriplePattern& p, net::NodeAddress initiator, net::SimTime now,
@@ -175,7 +175,7 @@ net::SimTime DagExecutor::claim(net::NodeAddress node, std::uint32_t qid,
   if (opts_.service.service_ms <= 0) return at;
   auto& [busy_until, last] = busy_[node];
   // Only *cross-query* overlap queues: a query never waits on its own work
-  // (the legacy engine models one query's parallelism as free).
+  // (one query's own parallelism is modelled as free).
   if (last != 0 && last != qid + 1 && busy_until > at) at = busy_until;
   busy_until = std::max(busy_until, at + opts_.service.service_ms);
   last = qid + 1;
@@ -488,7 +488,7 @@ net::SimTime DagExecutor::fire_scan(QueryRun& run, TaskId id) {
     if (op->slot > 0) {
       const Task& prev = run.tasks[op->inputs.front()];
       if (prev.out.set.empty()) {
-        // Legacy `break`: one empty operand empties the whole join; the
+        // Short-circuit: one empty operand empties the whole join; the
         // remaining slots pass the result through untouched (no traffic).
         task.out = prev.out;
         complete(run, id, task.out.ready_at);
@@ -511,7 +511,7 @@ net::SimTime DagExecutor::fire_scan(QueryRun& run, TaskId id) {
     }
   }
 
-  // --- exec_pattern, reified (same formulas as the legacy engine). ---
+  // --- Pattern evaluation at the providers (strategy-driven). ---
   const net::SimTime now = loc.completed_at;
 
   if (loc.providers.empty()) {
@@ -1046,8 +1046,8 @@ net::SimTime DagExecutor::fire_post(QueryRun& run, TaskId id) {
 
   // Distributed DESCRIBE: resolve each target's surrounding triples with
   // two primitive pattern queries (t, ?, ?) and (?, ?, t). Parts run
-  // sequentially (control-chained) to mirror the legacy engine's index
-  // repair order; each starts its lookup at the result's arrival time.
+  // sequentially (control-chained) so index repairs happen in target
+  // order; each starts its lookup at the result's arrival time.
   std::set<rdf::Term> target_set;
   for (const rdf::PatternTerm& pt : run.query.describe_targets) {
     if (const rdf::Term* t = rdf::term_of(pt)) {
@@ -1092,7 +1092,7 @@ net::SimTime DagExecutor::fire_post(QueryRun& run, TaskId id) {
 
       Task sh;
       sh.kind = TaskKind::kShip;
-      sh.quiet_ship = true;  // legacy DESCRIBE ships open no span
+      sh.quiet_ship = true;  // DESCRIBE part ships open no span
       sh.ship_target = run.initiator;
       sh.ship_category = net::Category::kResult;
       sh.base = t0;

@@ -5,20 +5,21 @@
 // (data and control) have finished; ready events pop in (time, query, task)
 // order from net::EventQueue, so a batch replays bit-for-bit.
 //
-// Two invariants tie the executor to the legacy recursive engine:
+// Two invariants make a query's outcome independent of scheduling; the
+// per-query-class goldens in tests/dqp/dag_equivalence_test.cpp pin both:
 //
-//   1. *Value identity.* Every task computes its output with exactly the
-//      legacy formulas — same logical start times (all subtrees of one
-//      query start at t=0, DESCRIBE parts at the result's arrival), same
-//      merge/dedup canonicalization, same traffic charges. Event order only
-//      decides *when* a charge is booked, never how large it is, so
-//      single-query DAG runs reproduce legacy results, TrafficStats and
-//      response times exactly (the A/B equivalence tests pin this).
+//   1. *Value identity.* Every task computes its output from logical start
+//      times, not from fire order — all subtrees of one query start at t=0,
+//      DESCRIBE parts at the result's arrival — with one merge/dedup
+//      canonicalization and one set of traffic charges. Event order only
+//      decides *when* a charge is booked, never how large it is, so results,
+//      TrafficStats and response times do not depend on how fires
+//      interleave.
 //
 //   2. *State-mutation order.* Lazy index repairs mutate shared overlay
 //      state; the plan's control edges serialize each query's fires into
-//      the legacy left-to-right order so repairs and lookups interleave
-//      identically.
+//      left-to-right operand order, so repairs and lookups interleave the
+//      same way on every run.
 //
 // Dynamic expansion: chain hops, scatter legs and DESCRIBE part queries
 // depend on runtime information (provider lists, join order, result
@@ -216,7 +217,7 @@ class DagExecutor {
   net::SimTime fire_post(QueryRun& run, TaskId id);
   net::SimTime fire_describe_gather(QueryRun& run, TaskId id);
 
-  // Legacy-identical primitives (same formulas as the recursive engine).
+  // Primitives shared by the fire handlers.
   overlay::HybridOverlay::Located locate(const rdf::TriplePattern& p,
                                          net::NodeAddress initiator,
                                          net::SimTime now,

@@ -322,6 +322,25 @@ RowSnapshot LocationTable::extract_range_mapped(
   return out;  // ascending by key: rows_ was sorted
 }
 
+std::vector<Tombstone> LocationTable::extract_tombstones_mapped(
+    chord::Key lo, chord::Key hi,
+    const std::function<chord::Key(chord::Key)>& to_ring) {
+  std::vector<Tombstone> out;
+  std::erase_if(tombstones_, [&](const Tombstone& t) {
+    if (!chord::in_open_closed(to_ring(t.key), lo, hi)) return false;
+    out.push_back(t);
+    return true;
+  });
+  return out;
+}
+
+void LocationTable::absorb_tombstones(
+    const std::vector<Tombstone>& tombstones) {
+  for (const Tombstone& t : tombstones) {
+    if (find(t.key, t.address) == nullptr) bury(t.key, t.address, t.version);
+  }
+}
+
 void LocationTable::absorb(const RowSnapshot& rows) {
   for (const Row& incoming : rows) {
     const chord::Key key = incoming.key;

@@ -58,6 +58,17 @@ struct Row {
 /// ascending key.
 using RowSnapshot = std::vector<Row>;
 
+/// A deleted (key, provider) pair awaiting re-publication, with the version
+/// it died at. Tombstones travel with the slice transfers of their range
+/// (extract_tombstones_mapped), so a burial always lives at the key's
+/// current owner: a new owner re-publishes past it, and no stale burial
+/// left at the old owner can later outrank the live entry in reconcile().
+struct Tombstone {
+  chord::Key key = 0;
+  net::NodeAddress address = net::kNoAddress;
+  std::uint32_t version = 0;
+};
+
 class LocationTable {
  public:
   /// Add `frequency` matching triples for (key, address); merges with an
@@ -130,6 +141,18 @@ class LocationTable {
       chord::Key lo, chord::Key hi,
       const std::function<chord::Key(chord::Key)>& to_ring);
 
+  /// Remove and return the tombstones whose ring position `to_ring(key)`
+  /// lies in (lo, hi] — they travel with the row slice of the same range,
+  /// so the new owner keeps refusing stale resurrections and issues
+  /// versions past every burial. Sorted by (key, address).
+  [[nodiscard]] std::vector<Tombstone> extract_tombstones_mapped(
+      chord::Key lo, chord::Key hi,
+      const std::function<chord::Key(chord::Key)>& to_ring);
+
+  /// Adopt tombstones handed over with a slice (the newer burial wins). A
+  /// pair with a live entry here is skipped: the entry is newer news.
+  void absorb_tombstones(const std::vector<Tombstone>& tombstones);
+
   /// Merge rows (from a slice transfer or replica activation). Versions are
   /// preserved: an entry new to this table keeps the incoming version (so a
   /// transferred row stays ahead of its replica mirrors), a merged entry
@@ -171,17 +194,6 @@ class LocationTable {
       chord::Key key, net::NodeAddress address) const;
 
  private:
-  /// Deleted (key, provider) pair awaiting re-publication, with the version
-  /// it died at. Tombstones stay local: they do not travel with
-  /// extract_range slices, so a new owner has a short resurrection window
-  /// until the next purge — the documented at-least-once behavior of
-  /// recovery reconciliation.
-  struct Tombstone {
-    chord::Key key = 0;
-    net::NodeAddress address = net::kNoAddress;
-    std::uint32_t version = 0;
-  };
-
   /// Index of `key` in rows_, or npos. Binary search over the sorted rows.
   [[nodiscard]] std::size_t row_index(chord::Key key) const noexcept;
   /// Index of `key`, inserting an empty row (pool-backed) when absent.

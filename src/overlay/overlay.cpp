@@ -138,15 +138,21 @@ void HybridOverlay::on_transfer(chord::Key old_owner, chord::Key new_owner,
       index_by_address_[ni->second.address] = new_owner;
     }
   }
-  RowSnapshot slice = oi->second.table.extract_range_mapped(
-      lo, hi, [this](chord::Key k) { return ring_.truncate(k); });
-  if (slice.empty()) return;
-  std::size_t bytes = 8;
+  auto to_ring = [this](chord::Key k) { return ring_.truncate(k); };
+  RowSnapshot slice = oi->second.table.extract_range_mapped(lo, hi, to_ring);
+  // Tombstones move with their range: left behind, a burial at the old
+  // owner outranks the versions the new owner issues on re-publication,
+  // and a later reconcile against it drops the live entry.
+  std::vector<Tombstone> buried =
+      oi->second.table.extract_tombstones_mapped(lo, hi, to_ring);
+  if (slice.empty() && buried.empty()) return;
+  std::size_t bytes = 8 + LocationTable::kTombstoneBytes * buried.size();
   for (const Row& r : slice) {
     bytes += 8 + LocationTable::kProviderBytes * r.providers.size();
   }
   net_->send(oi->second.address, ni->second.address, bytes, when,
              net::Category::kIndex);
+  ni->second.table.absorb_tombstones(buried);
   ni->second.table.absorb(slice);
   // Re-replicate the transferred rows from their new owner: replica
   // placement follows ownership, otherwise a later crash of the new owner

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 
 #include "check/audit.hpp"
 #include "dqp_test_util.hpp"
@@ -256,6 +257,18 @@ TEST(Batch, DeadProviderBatchStillConserves) {
   EXPECT_GT(timeouts, 0u);
   EXPECT_EQ(timeouts, delta.timeouts);
   proc.set_trace(nullptr);
+}
+
+TEST(Batch, MismatchedInitiatorCountThrows) {
+  workload::Testbed bed(config());
+  DistributedQueryProcessor proc(bed.overlay());
+  std::vector<std::string> queries = batch_queries();
+  const net::TrafficStats before = bed.network().stats();
+  EXPECT_THROW((void)proc.execute_batch(
+                   queries, initiators(bed, queries.size() - 1)),
+               std::invalid_argument);
+  // Refused before anything ran: no query traffic was charged.
+  EXPECT_EQ(bed.network().stats().messages, before.messages);
 }
 
 }  // namespace

@@ -316,6 +316,45 @@ TEST(Overlay, RepairDoesNotResurrectUnsharedProvider) {
   EXPECT_TRUE(loc.providers.empty());
 }
 
+TEST(Overlay, JoinCarriesTombstonesSoRepublishSurvivesJoinerCrash) {
+  // Regression: a joining index node took over a key's rows but not its
+  // tombstones. After a retract buried the entry at the old owner, a
+  // re-share through the joiner started a version below the burial, and
+  // when the joiner crashed, repair() reconciled the promoted replica row
+  // against the old owner's stale tombstone — the live entry was dropped.
+  OverlayConfig cfg;
+  cfg.replication_factor = 2;
+  Fixture f(cfg);
+  f.add_index_nodes(4);
+  net::NodeAddress d = f.overlay.add_storage_node();
+
+  Triple t{iri("s"), iri("p"), iri("o")};
+  chord::Key s_key = index_key(IndexKeyKind::kS, t.s);
+  chord::Key tk = f.overlay.ring().truncate(s_key);
+  chord::Key old_owner = f.overlay.ring().oracle_successor(tk);
+  ASSERT_NE(old_owner, tk) << "scenario setup: the joiner id must be free";
+
+  const LocationTable& old_table = f.overlay.index_nodes().at(old_owner).table;
+  f.overlay.share_triples(d, {t}, 0);
+  f.overlay.unshare_triples(d, {t}, 10);
+  ASSERT_TRUE(old_table.tombstoned(s_key, d));
+
+  // The joiner sits exactly at the key, so it takes the key over and the
+  // old owner becomes its successor (the replica holder).
+  chord::Key joiner = f.overlay.add_index_node_with_id(tk, 20);
+  f.overlay.ring().fix_all_fingers_oracle();
+  ASSERT_EQ(f.overlay.ring().oracle_successor(tk), joiner);
+
+  f.overlay.share_triples(d, {t}, 30);
+  ASSERT_NE(f.overlay.index_nodes().at(joiner).table.find(s_key, d), nullptr);
+
+  f.overlay.index_node_fail(joiner);
+  f.overlay.repair(40);
+  f.overlay.ring().fix_all_fingers_oracle();
+  EXPECT_NE(old_table.find(s_key, d), nullptr)
+      << "re-published entry lost to a tombstone left behind at the join";
+}
+
 TEST(Overlay, WithoutReplicationRepublishRestoresIndex) {
   Fixture f;  // replication_factor = 1
   f.add_index_nodes(4);

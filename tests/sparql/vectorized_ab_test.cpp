@@ -164,12 +164,11 @@ struct Outcome {
 /// Run one query on a fresh identical testbed with the toggle set. Fresh
 /// beds per arm: execution mutates index state (lazy repairs), and the A/B
 /// must cover that mutation order too.
-Outcome run_arm(bool vectorized, ExecutionEngine engine,
-                const std::string& query, bool kill_provider) {
+Outcome run_arm(bool vectorized, const std::string& query,
+                bool kill_provider) {
   workload::Testbed bed(config());
   ExecutionPolicy policy;
   policy.vectorized = vectorized;
-  policy.engine = engine;
   DistributedQueryProcessor proc(bed.overlay(), policy);
   if (kill_provider) {
     bed.overlay().storage_node_fail(bed.storage_addrs()[2]);
@@ -184,20 +183,16 @@ Outcome run_arm(bool vectorized, ExecutionEngine engine,
 void expect_toggle_invisible(const std::string& body,
                              bool kill_provider = false) {
   std::string query = std::string(kPrologue) + body;
-  for (ExecutionEngine engine :
-       {ExecutionEngine::kDag, ExecutionEngine::kLegacy}) {
-    Outcome vec = run_arm(true, engine, query, kill_provider);
-    Outcome row = run_arm(false, engine, query, kill_provider);
-    EXPECT_EQ(vec.result.solutions.rows(), row.result.solutions.rows())
-        << query;
-    EXPECT_EQ(vec.result.graph, row.result.graph) << query;
-    EXPECT_EQ(vec.result.ask_answer, row.result.ask_answer) << query;
-    EXPECT_EQ(vec.rep.plan_notes, row.rep.plan_notes) << query;
-    EXPECT_EQ(vec.rep.response_time, row.rep.response_time) << query;
-    EXPECT_EQ(vec.rep.complete, row.rep.complete) << query;
-    expect_traffic_eq(vec.rep.traffic, row.rep.traffic, query);
-    expect_traffic_eq(vec.delta, row.delta, query + " (network delta)");
-  }
+  Outcome vec = run_arm(true, query, kill_provider);
+  Outcome row = run_arm(false, query, kill_provider);
+  EXPECT_EQ(vec.result.solutions.rows(), row.result.solutions.rows()) << query;
+  EXPECT_EQ(vec.result.graph, row.result.graph) << query;
+  EXPECT_EQ(vec.result.ask_answer, row.result.ask_answer) << query;
+  EXPECT_EQ(vec.rep.plan_notes, row.rep.plan_notes) << query;
+  EXPECT_EQ(vec.rep.response_time, row.rep.response_time) << query;
+  EXPECT_EQ(vec.rep.complete, row.rep.complete) << query;
+  expect_traffic_eq(vec.rep.traffic, row.rep.traffic, query);
+  expect_traffic_eq(vec.delta, row.delta, query + " (network delta)");
 }
 
 // One query per plan class whose physical operators the toggle touches:

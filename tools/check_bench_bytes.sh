@@ -2,11 +2,12 @@
 # Wire-byte regression gate for the throughput sweep.
 #
 # Compares a freshly emitted BENCH_throughput.json (argument, or
-# build/BENCH_throughput.json by default) against the committed baseline at
-# the repo root. For every record present in both series the data and
-# result category bytes — the two solution-set-bearing categories, i.e.
-# the traffic the wire codec compresses — must not exceed the baseline by
-# more than the tolerance (default 1%, override with AHSW_BENCH_TOLERANCE).
+# build/BENCH_throughput.json by default) against the committed baseline
+# bench/baselines/BENCH_throughput.json. For every record present in both
+# series the data and result category bytes — the two solution-set-bearing
+# categories, i.e. the traffic the wire codec compresses — must not exceed
+# the baseline by more than the tolerance (default 1%, override with
+# AHSW_BENCH_TOLERANCE).
 # A regression here means payloads grew or something started charging raw
 # sizes again; re-baselining requires a deliberate commit of the new JSON.
 #
@@ -14,7 +15,7 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-baseline=BENCH_throughput.json
+baseline=bench/baselines/BENCH_throughput.json
 fresh="${1:-${AHSW_BUILD_DIR:-build}/BENCH_throughput.json}"
 
 if [ ! -f "${baseline}" ]; then
@@ -68,8 +69,8 @@ for bench in sorted(fresh.keys() - base.keys()):
 if failed:
     print("error: wire payload bytes regressed beyond "
           f"{tolerance:.0%} of the committed baseline; if the growth is "
-          "intentional, re-baseline BENCH_throughput.json in the same "
-          "commit", file=sys.stderr)
+          "intentional, re-baseline bench/baselines/BENCH_throughput.json "
+          "in the same commit", file=sys.stderr)
     sys.exit(1)
 print("wire payload bytes within tolerance of the committed baseline")
 PY
