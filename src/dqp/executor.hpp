@@ -41,6 +41,7 @@
 
 #include "dqp/processor.hpp"
 #include "net/event_queue.hpp"
+#include "sparql/accumulator.hpp"
 
 namespace ahsw::dqp {
 
@@ -168,10 +169,11 @@ class DagExecutor {
     std::size_t carry_raw_bytes = 0;  // uncompressed counterpart
     net::NodeAddress assembly = net::kNoAddress;
     std::size_t remaining = 0;               // outstanding scatter legs
-    sparql::SolutionSet merged;              // scatter merge accumulator
+    /// Scatter/chain merge accumulator, created when the scan distributes
+    /// its sub-query and materialized once when the scan completes.
+    std::unique_ptr<sparql::ChainAccumulator> acc;
     net::SimTime done_at = 0;                // scatter completion max
     std::vector<overlay::Provider> chain;    // providers in visit order
-    sparql::SolutionSet acc;                 // chain accumulator
     net::SimTime t = 0;                      // chain clock / scatter start
     net::NodeAddress sender = net::kNoAddress;
     net::NodeAddress site = net::kNoAddress;

@@ -60,9 +60,24 @@ void encode_dictionary(std::string& out, const Dictionary& dict) {
   }
 }
 
+/// Smallest encoded footprint of one element of each counted section, so
+/// a count can be checked against the bytes left before anything is sized
+/// by it: a variable is at least its length varint, a term its kind byte
+/// and four varints, a triple three id varints.
+inline constexpr std::uint64_t kMinVarBytes = 1;
+inline constexpr std::uint64_t kMinTermBytes = 5;
+inline constexpr std::uint64_t kMinTripleBytes = 3;
+
+/// Read a count and check that `n` elements of at least `min_bytes` each
+/// fit in the rest of `in`.
+bool get_count(std::string_view in, std::size_t& pos, std::uint64_t min_bytes,
+               std::uint64_t& n) {
+  return get_varint(in, pos, n) && n <= (in.size() - pos) / min_bytes;
+}
+
 bool decode_string(std::string_view in, std::size_t& pos, std::string& out) {
   std::uint64_t len = 0;
-  if (!get_varint(in, pos, len) || pos + len > in.size()) return false;
+  if (!get_varint(in, pos, len) || len > in.size() - pos) return false;
   out.assign(in.substr(pos, len));
   pos += len;
   return true;
@@ -91,13 +106,17 @@ rdf::Term make_term(rdf::TermKind kind, std::string lexical,
 bool decode_dictionary(std::string_view in, std::size_t& pos,
                        std::vector<rdf::Term>& terms) {
   std::uint64_t nterms = 0;
-  if (!get_varint(in, pos, nterms)) return false;
+  if (!get_count(in, pos, kMinTermBytes, nterms)) return false;
   terms.clear();
   terms.reserve(nterms);
   std::string prev;
   for (std::uint64_t i = 0; i < nterms; ++i) {
     if (pos >= in.size()) return false;
-    const auto kind = static_cast<rdf::TermKind>(in[pos++]);
+    const auto kind_byte = static_cast<std::uint8_t>(in[pos++]);
+    if (kind_byte > static_cast<std::uint8_t>(rdf::TermKind::kBlank)) {
+      return false;
+    }
+    const auto kind = static_cast<rdf::TermKind>(kind_byte);
     std::uint64_t lcp = 0;
     if (!get_varint(in, pos, lcp) || lcp > prev.size()) return false;
     std::string suffix, datatype, lang;
@@ -112,6 +131,13 @@ bool decode_dictionary(std::string_view in, std::size_t& pos,
                   std::move(lang)));
   }
   return true;
+}
+
+/// The index a zigzag delta leads to from `prev`, in wrapping unsigned
+/// arithmetic: a hostile delta can neither overflow nor go negative, it
+/// only lands out of range, which the caller rejects.
+std::uint64_t next_id(std::uint64_t prev, std::uint64_t raw) noexcept {
+  return prev + static_cast<std::uint64_t>(unzigzag(raw));
 }
 
 /// One row's bound dictionary indexes in var order: first absolute, the
@@ -168,7 +194,7 @@ std::string encode(const sparql::SolutionSet& s) {
 bool decode(std::string_view in, sparql::SolutionSet& out) {
   std::size_t pos = 0;
   std::uint64_t nvars = 0;
-  if (!get_varint(in, pos, nvars)) return false;
+  if (!get_count(in, pos, kMinVarBytes, nvars)) return false;
   std::vector<std::string> vars(nvars);
   for (std::string& v : vars) {
     if (!decode_string(in, pos, v)) return false;
@@ -177,15 +203,18 @@ bool decode(std::string_view in, sparql::SolutionSet& out) {
   if (!decode_dictionary(in, pos, terms)) return false;
 
   std::uint64_t nrows = 0;
-  if (!get_varint(in, pos, nrows)) return false;
   const std::size_t bitmap_bytes = (nvars + 7) / 8;
+  if (!(bitmap_bytes == 0 ? get_varint(in, pos, nrows) && nrows <= kMaxEmptyRows
+                          : get_count(in, pos, bitmap_bytes, nrows))) {
+    return false;
+  }
   sparql::SolutionSet result;
   for (std::uint64_t r = 0; r < nrows; ++r) {
-    if (pos + bitmap_bytes > in.size()) return false;
+    if (bitmap_bytes > in.size() - pos) return false;
     std::string_view bitmap = in.substr(pos, bitmap_bytes);
     pos += bitmap_bytes;
     sparql::Binding b;
-    std::int64_t prev = 0;
+    std::uint64_t prev = 0;
     bool first = true;
     for (std::uint64_t i = 0; i < nvars; ++i) {
       if ((static_cast<std::uint8_t>(bitmap[i / 8]) & (1 << (i % 8))) == 0) {
@@ -193,13 +222,10 @@ bool decode(std::string_view in, sparql::SolutionSet& out) {
       }
       std::uint64_t raw = 0;
       if (!get_varint(in, pos, raw)) return false;
-      const std::int64_t id =
-          first ? static_cast<std::int64_t>(raw) : prev + unzigzag(raw);
+      const std::uint64_t id = first ? raw : next_id(prev, raw);
       first = false;
+      if (id >= terms.size()) return false;
       prev = id;
-      if (id < 0 || static_cast<std::uint64_t>(id) >= terms.size()) {
-        return false;
-      }
       b.set(vars[i], terms[static_cast<std::size_t>(id)]);
     }
     result.add(std::move(b));
@@ -235,7 +261,7 @@ bool decode(std::string_view in, std::vector<rdf::Triple>& out) {
   std::vector<rdf::Term> terms;
   if (!decode_dictionary(in, pos, terms)) return false;
   std::uint64_t ntriples = 0;
-  if (!get_varint(in, pos, ntriples)) return false;
+  if (!get_count(in, pos, kMinTripleBytes, ntriples)) return false;
   std::vector<rdf::Triple> result;
   result.reserve(ntriples);
   for (std::uint64_t r = 0; r < ntriples; ++r) {
@@ -244,16 +270,13 @@ bool decode(std::string_view in, std::vector<rdf::Triple>& out) {
     slots[0] = &t.s;
     slots[1] = &t.p;
     slots[2] = &t.o;
-    std::int64_t prev = 0;
+    std::uint64_t prev = 0;
     for (int i = 0; i < 3; ++i) {
       std::uint64_t raw = 0;
       if (!get_varint(in, pos, raw)) return false;
-      const std::int64_t id =
-          i == 0 ? static_cast<std::int64_t>(raw) : prev + unzigzag(raw);
+      const std::uint64_t id = i == 0 ? raw : next_id(prev, raw);
+      if (id >= terms.size()) return false;
       prev = id;
-      if (id < 0 || static_cast<std::uint64_t>(id) >= terms.size()) {
-        return false;
-      }
       *slots[i] = terms[static_cast<std::size_t>(id)];
     }
     result.push_back(std::move(t));
@@ -262,8 +285,43 @@ bool decode(std::string_view in, std::vector<rdf::Triple>& out) {
   return true;
 }
 
+std::size_t encoded_size(const sparql::CanonicalParts& p) {
+  // Mirrors encode() section by section; WireCodec tests pin the two
+  // against each other.
+  using common::varint_size;
+  auto string_size = [](std::size_t len) { return varint_size(len) + len; };
+  std::size_t n = varint_size(p.vars.size());
+  for (const std::string& v : p.vars) n += string_size(v.size());
+
+  n += varint_size(p.sorted.size());
+  for (std::size_t i = 0; i < p.sorted.size(); ++i) {
+    const rdf::Term& t = p.dict.term(p.sorted[i]);
+    n += 1 + varint_size(p.lcp[i]) +
+         string_size(t.lexical().size() - p.lcp[i]) +
+         string_size(t.datatype().size()) + string_size(t.lang().size());
+  }
+
+  const std::size_t width = p.vars.size();
+  n += varint_size(p.rows) + p.rows * ((width + 7) / 8);
+  const rdf::TermId* cell = p.cells.data();
+  for (std::size_t r = 0; r < p.rows; ++r, cell += width) {
+    bool first = true;
+    std::uint32_t prev = 0;
+    for (std::size_t c = 0; c < width; ++c) {
+      if (cell[c] == rdf::kInvalidTermId) continue;
+      const std::uint32_t rank = p.rank[cell[c]];
+      n += varint_size(first ? rank
+                             : zigzag(static_cast<std::int64_t>(rank) -
+                                      static_cast<std::int64_t>(prev)));
+      first = false;
+      prev = rank;
+    }
+  }
+  return n;
+}
+
 std::size_t encoded_size(const sparql::SolutionSet& s) {
-  return encode(s).size();
+  return encoded_size(sparql::canonical_parts(s));
 }
 
 std::size_t encoded_size(const std::vector<rdf::Triple>& t) {
@@ -274,6 +332,13 @@ std::size_t charged_bytes(const sparql::SolutionSet& s) {
   if (std::size_t cached = s.wire_cache(); cached != 0) return cached;
   const std::size_t n = encoded_size(s);
   s.set_wire_cache(n);
+  return n;
+}
+
+std::size_t charged_bytes(const sparql::ChainAccumulator& acc) {
+  if (std::size_t cached = acc.wire_cache(); cached != 0) return cached;
+  const std::size_t n = encoded_size(acc.parts());
+  acc.set_wire_cache(n);
   return n;
 }
 

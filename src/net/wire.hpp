@@ -25,8 +25,13 @@
 // parallel batch driver and the vectorized/legacy A/B byte-identical: any
 // execution that produces the same rows is charged the same bytes.
 //
-// `charged_bytes` is the accounting entry point: it memoizes the encoded
-// size on the set (see SolutionSet's wire cache) because the distributed
+// Sizes never go through a payload string: `encoded_size` computes the
+// canonical encoding's length from the set's id-space parts
+// (sparql::CanonicalParts — sorted schema, front-coded sorted terms, per-row
+// ranks), and `encode` stays the only writer. `charged_bytes` is the
+// accounting entry point: it memoizes that size on the set (see
+// SolutionSet's wire cache), and on the chain/scatter merge accumulator,
+// whose parts are maintained incrementally, because the distributed
 // processor asks at every ship and chain hop. Encoder byte counters and
 // size computations live only in this component (lint rule A2).
 #pragma once
@@ -37,6 +42,7 @@
 #include <vector>
 
 #include "rdf/triple.hpp"
+#include "sparql/accumulator.hpp"
 #include "sparql/solution.hpp"
 
 namespace ahsw::net::wire {
@@ -45,13 +51,22 @@ namespace ahsw::net::wire {
 [[nodiscard]] std::string encode(const sparql::SolutionSet& s);
 
 /// Decode a payload produced by `encode`, replacing `out`. Returns false on
-/// malformed input (truncated varint, index out of range, ...).
+/// malformed input (truncated varint, index out of range, a count larger
+/// than the bytes left could hold, an unknown term kind, ...) and never
+/// throws. A payload with no variables may hold at most kMaxEmptyRows rows:
+/// such rows take no bytes, so nothing else bounds their count.
 [[nodiscard]] bool decode(std::string_view in, sparql::SolutionSet& out);
 
 /// Encode a triple payload (CONSTRUCT/DESCRIBE graphs, store shipping).
 [[nodiscard]] std::string encode(const std::vector<rdf::Triple>& triples);
 [[nodiscard]] bool decode(std::string_view in,
                           std::vector<rdf::Triple>& out);
+
+inline constexpr std::size_t kMaxEmptyRows = std::size_t{1} << 16;
+
+/// Length of the canonical encoding of the set `p` describes, from its
+/// parts alone: the one size formula behind every solution-set size below.
+[[nodiscard]] std::size_t encoded_size(const sparql::CanonicalParts& p);
 
 /// Encoded payload size of `s` (== encode(s).size()), computed fresh.
 [[nodiscard]] std::size_t encoded_size(const sparql::SolutionSet& s);
@@ -62,6 +77,10 @@ namespace ahsw::net::wire {
 /// stays observable as SolutionSet::byte_size() and travels with every send
 /// as its `raw_bytes` counterpart.
 [[nodiscard]] std::size_t charged_bytes(const sparql::SolutionSet& s);
+
+/// The same charge for the accumulated set of a chain or scatter scan
+/// (== charged_bytes(acc.materialize())), memoized on the accumulator.
+[[nodiscard]] std::size_t charged_bytes(const sparql::ChainAccumulator& acc);
 
 /// Raw (uncompressed) size of a triple payload, for raw-byte accounting.
 [[nodiscard]] std::size_t raw_bytes(const std::vector<rdf::Triple>& t);

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "rdf/term.hpp"
@@ -30,7 +29,7 @@ class TermDictionary {
   [[nodiscard]] std::size_t size() const noexcept { return terms_.size(); }
 
   /// The sanctioned traversal: every interned term in id (= insertion)
-  /// order, so `terms()[id] == term(id)`. Callers must never walk `ids_` —
+  /// order, so `terms()[id] == term(id)`. Callers must never walk `slots_` —
   /// its hash order would differ across platforms and leak into any output
   /// built from it (rule D2).
   [[nodiscard]] const std::vector<Term>& terms() const noexcept {
@@ -38,10 +37,17 @@ class TermDictionary {
   }
 
  private:
-  // iteration-order: never iterated — point lookups only; traversal goes
-  // through terms(), which is deterministic insertion order.
-  std::unordered_map<Term, TermId, TermHash> ids_;
+  /// Slot of `t` in slots_: the one holding its id, or the free slot where
+  /// it belongs. Precondition: slots_ is not full.
+  [[nodiscard]] std::size_t probe(const Term& t,
+                                  std::uint64_t hash) const noexcept;
+
+  // Each term is stored once, in terms_; slots_ is an open-addressing table
+  // of ids (kInvalidTermId when free) probed by TermHash, never iterated —
+  // traversal goes through terms(), which is deterministic insertion order.
   std::vector<Term> terms_;
+  std::vector<std::uint64_t> hashes_;  // TermHash of terms_[id]
+  std::vector<TermId> slots_;          // size: 0 or a power of two
 };
 
 }  // namespace ahsw::rdf

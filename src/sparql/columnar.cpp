@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "rdf/dictionary.hpp"
+#include "sparql/accumulator.hpp"
 
 namespace ahsw::sparql {
 
@@ -31,9 +31,8 @@ struct Table {
   }
 };
 
-/// Intern every distinct term of `sets` in Term `operator<=>` order, so that
-/// id comparison agrees with term comparison (vec_deduplicated relies on
-/// this; everything else only needs id equality).
+/// Intern every distinct term of `sets` (in Term `operator<=>` order; the
+/// kernels below only need id equality).
 rdf::TermDictionary build_dictionary(
     std::initializer_list<const SolutionSet*> sets) {
   std::set<rdf::Term> terms;
@@ -363,43 +362,11 @@ SolutionSet vec_filter_set(const SolutionSet& in, const Expr& e) {
 }
 
 SolutionSet vec_deduplicated(const SolutionSet& in) {
-  rdf::TermDictionary dict = build_dictionary({&in});
-  Table t = build_table(in, dict);
-  std::vector<std::size_t> order(t.rows);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  // Exactly Binding's lexicographic slot order: pairs compare name first
-  // (both schemas walk the same sorted var list, so column index order is
-  // name order) then term (id order == term order by dictionary
-  // construction); a row that is a strict prefix sorts first.
-  auto less = [&](std::size_t i, std::size_t j) {
-    std::size_t ci = 0;
-    std::size_t cj = 0;
-    for (;;) {
-      while (ci < t.width && t.at(i, ci) == kUnbound) ++ci;
-      while (cj < t.width && t.at(j, cj) == kUnbound) ++cj;
-      if (ci == t.width || cj == t.width) break;
-      if (ci != cj) return ci < cj;
-      TermId x = t.at(i, ci);
-      TermId y = t.at(j, cj);
-      if (x != y) return x < y;
-      ++ci;
-      ++cj;
-    }
-    return ci == t.width && cj < t.width;
-  };
-  std::stable_sort(order.begin(), order.end(), less);
-  auto equal_rows = [&](std::size_t i, std::size_t j) {
-    for (std::size_t c = 0; c < t.width; ++c) {
-      if (t.at(i, c) != t.at(j, c)) return false;
-    }
-    return true;
-  };
-  SolutionSet out;
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    if (k > 0 && equal_rows(order[k - 1], order[k])) continue;
-    out.add(in.rows()[order[k]]);
-  }
-  return out;
+  // Canonical sort + unique in id space is exactly what the merge
+  // accumulator materializes.
+  ChainAccumulator acc;
+  acc.add(in);
+  return acc.materialize();
 }
 
 }  // namespace ahsw::sparql

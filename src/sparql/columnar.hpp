@@ -44,9 +44,9 @@ namespace ahsw::sparql {
 /// Vectorized Filter with the same memoization as above.
 [[nodiscard]] SolutionSet vec_filter_set(const SolutionSet& in, const Expr& e);
 
-/// Vectorized Distinct: canonical sort + unique via id comparisons only
-/// (id order == term order by construction, so the result matches
-/// normalize() + std::unique exactly).
+/// Vectorized Distinct: hash dedup of id tuples, then one canonical sort
+/// by term rank (sparql::ChainAccumulator), so the result matches
+/// normalize() + std::unique exactly.
 [[nodiscard]] SolutionSet vec_deduplicated(const SolutionSet& in);
 
 }  // namespace ahsw::sparql

@@ -84,7 +84,7 @@ Binding Binding::projected(const std::vector<std::string>& vars) const {
 std::size_t Binding::byte_size() const noexcept {
   std::size_t n = 2;  // row framing
   for (const auto& [name, term] : slots_) {
-    n += name.size() + 1 + term.byte_size();
+    n += slot_bytes(name, term);
   }
   return n;
 }

@@ -41,6 +41,10 @@ class Binding {
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
   [[nodiscard]] bool empty() const noexcept { return slots_.empty(); }
 
+  /// Room for `n` slots, so a row built slot by slot holds no spare
+  /// capacity.
+  void reserve(std::size_t n) { slots_.reserve(n); }
+
   /// Compatible per Perez et al.: every shared variable maps to equal terms.
   [[nodiscard]] bool compatible(const Binding& other) const noexcept;
 
@@ -58,6 +62,13 @@ class Binding {
 
   /// Serialized size for the network cost model.
   [[nodiscard]] std::size_t byte_size() const noexcept;
+
+  /// Raw size of one (variable, term) slot; byte_size() adds the slots to
+  /// the empty row's framing.
+  [[nodiscard]] static std::size_t slot_bytes(std::string_view var,
+                                              const rdf::Term& t) noexcept {
+    return var.size() + 1 + t.byte_size();
+  }
 
   /// Debug form: `{x-><a>, y->"v"}` with variables in sorted order.
   [[nodiscard]] std::string to_string() const;
@@ -86,7 +97,8 @@ class SolutionSet {
     // The raw size is a plain per-row sum, so the increment is exact; the
     // wire (encoded) size is holistic — a new row can extend the payload's
     // term dictionary or variable schema — so no increment is correct and
-    // the memo must be dropped (net::wire recomputes through the encoder).
+    // the memo must be dropped (net::wire recomputes it from the set's
+    // parts; sparql::ChainAccumulator is the incremental alternative).
     if (cached_bytes_ != kDirty) cached_bytes_ += b.byte_size();
     wire_cached_ = 0;
     rows_.push_back(std::move(b));

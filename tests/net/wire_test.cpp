@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/varint.hpp"
 #include "rdf/term.hpp"
 #include "rdf/triple.hpp"
 #include "sparql/solution.hpp"
@@ -176,6 +177,9 @@ TEST(WireCodec, CachedSizesNeverDriftUnderRandomMutation) {
           << "raw cache drifted at trial " << trial << " step " << step;
       ASSERT_EQ(charged_bytes(s), encoded_size(fresh))
           << "wire memo drifted at trial " << trial << " step " << step;
+      // The size-only routine never strays from the writer.
+      ASSERT_EQ(encoded_size(fresh), encode(fresh).size())
+          << "size routine drifted at trial " << trial << " step " << step;
     }
   }
 }
@@ -191,6 +195,88 @@ TEST(WireCodec, DecodeRejectsTruncatedPayloads) {
         << "cut " << cut;
   }
   ASSERT_TRUE(decode(payload, out));
+}
+
+/// Hostile payloads: each must be rejected by a clean `false`, never by an
+/// exception or an allocation sized by the attacker.
+std::string varint(std::uint64_t v) {
+  std::string out;
+  common::put_varint(out, v);
+  return out;
+}
+
+TEST(WireCodec, DecodeRejectsHugeCountsWithoutThrowing) {
+  SolutionSet set_out;
+  std::vector<rdf::Triple> triples_out;
+  // nvars = 2^62 in a 9-byte payload.
+  const std::string vars = varint(std::uint64_t{1} << 62);
+  ASSERT_EQ(vars.size(), 9u);
+  EXPECT_NO_THROW(EXPECT_FALSE(decode(vars, set_out)));
+  // nterms = 2^62 after an empty schema; the same for the triple payload.
+  const std::string terms = varint(0) + varint(std::uint64_t{1} << 62);
+  EXPECT_NO_THROW(EXPECT_FALSE(decode(terms, set_out)));
+  EXPECT_NO_THROW(
+      EXPECT_FALSE(decode(varint(std::uint64_t{1} << 62), triples_out)));
+  // ntriples = 2^62 after an empty dictionary.
+  EXPECT_NO_THROW(EXPECT_FALSE(
+      decode(varint(0) + varint(std::uint64_t{1} << 62), triples_out)));
+  // nrows = 2^62 with one variable: each row needs a bitmap byte.
+  const std::string rows = varint(1) + varint(1) + "x" + varint(0) +
+                           varint(std::uint64_t{1} << 62);
+  EXPECT_NO_THROW(EXPECT_FALSE(decode(rows, set_out)));
+  // Zero-width rows take no bytes; their count is capped instead.
+  const std::string empties = varint(0) + varint(0);
+  EXPECT_NO_THROW(EXPECT_FALSE(
+      decode(empties + varint(std::uint64_t{1} << 62), set_out)));
+  EXPECT_NO_THROW(
+      EXPECT_FALSE(decode(empties + varint(kMaxEmptyRows + 1), set_out)));
+  ASSERT_TRUE(decode(empties + varint(3), set_out));
+  EXPECT_EQ(set_out.size(), 3u);
+}
+
+TEST(WireCodec, DecodeRejectsOverlongStringLength) {
+  // One variable whose name length is 2^64 - 1. A wrapping `pos + len`
+  // bounds check passes it and steps the cursor back one byte, onto the
+  // length varint's last byte (0x01), and the tail then parses as a
+  // one-term dictionary and zero rows: the payload must not be accepted.
+  const std::string tail = std::string(1, '\0') + varint(0) + varint(1) +
+                           "a" + varint(0) + varint(0) + varint(0);
+  const std::string payload = varint(1) + varint(~std::uint64_t{0}) + tail;
+  SolutionSet out;
+  EXPECT_NO_THROW(EXPECT_FALSE(decode(payload, out)));
+}
+
+TEST(WireCodec, DecodeRejectsUnknownTermKind) {
+  // One term of kind 7 (TermKind has three values), otherwise well formed:
+  // lcp 0, lexical "a", no datatype, no language; then one triple-less
+  // solution set.
+  const std::string term = std::string(1, '\x07') + varint(0) + varint(1) +
+                           "a" + varint(0) + varint(0);
+  SolutionSet out;
+  EXPECT_NO_THROW(
+      EXPECT_FALSE(decode(varint(0) + varint(1) + term + varint(0), out)));
+  std::vector<rdf::Triple> triples;
+  EXPECT_NO_THROW(EXPECT_FALSE(decode(varint(1) + term + varint(0), triples)));
+  // The same payload with a valid kind decodes.
+  std::string ok = varint(0) + varint(1) + term + varint(0);
+  ok[2] = static_cast<char>(rdf::TermKind::kLiteral);
+  EXPECT_TRUE(decode(ok, out));
+}
+
+TEST(WireCodec, DecodeRejectsOutOfRangeDeltas) {
+  // Two variables, one term, one row binding both: the second slot's
+  // zigzag delta is the largest varint, which must land out of range
+  // instead of overflowing.
+  const std::string term = std::string(1, '\0') + varint(0) + varint(1) +
+                           "a" + varint(0) + varint(0);
+  const std::string head = varint(2) + varint(1) + "x" + varint(1) + "y" +
+                           varint(1) + term + varint(1) + "\x03" + varint(0);
+  SolutionSet out;
+  EXPECT_NO_THROW(EXPECT_FALSE(decode(head + varint(~std::uint64_t{0}), out)));
+  EXPECT_NO_THROW(
+      EXPECT_FALSE(decode(head + varint(~std::uint64_t{0} - 1), out)));
+  ASSERT_TRUE(decode(head + varint(0), out));
+  EXPECT_EQ(out.size(), 1u);
 }
 
 }  // namespace

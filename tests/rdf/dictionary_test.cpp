@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 namespace ahsw::rdf {
 namespace {
 
@@ -26,6 +29,24 @@ TEST(TermDictionary, FindReturnsNulloptForUnknown) {
   d.intern(Term::iri("known"));
   EXPECT_FALSE(d.find(Term::iri("unknown")).has_value());
   EXPECT_TRUE(d.find(Term::iri("known")).has_value());
+}
+
+TEST(TermDictionary, GrowthKeepsIdsAndLookups) {
+  // Crosses several resizes of the probe table: every id stays put and
+  // every term is still found under it.
+  TermDictionary d;
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(d.intern(Term::iri("http://e/" + std::to_string(i))),
+              static_cast<TermId>(i));
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const Term t = Term::iri("http://e/" + std::to_string(i));
+    ASSERT_EQ(d.find(t), std::optional<TermId>(static_cast<TermId>(i)));
+    EXPECT_EQ(d.intern(t), static_cast<TermId>(i));
+    EXPECT_EQ(d.term(static_cast<TermId>(i)), t);
+  }
+  EXPECT_EQ(d.size(), 1000u);
+  EXPECT_FALSE(d.find(Term::literal("http://e/1")).has_value());
 }
 
 TEST(TermDictionary, TermRoundTrips) {
