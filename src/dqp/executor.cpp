@@ -73,7 +73,7 @@ std::optional<SolutionSet> DagExecutor::run_at_provider(
     return std::nullopt;
   }
   ++rep.providers_contacted;
-  sparql::LocalEngine engine(overlay_->store_of(provider), policy_.vectorized);
+  sparql::LocalEngine engine(overlay_->store_of(provider));
   return engine.match_pattern(p);
 }
 
@@ -591,7 +591,7 @@ net::SimTime DagExecutor::fire_scan(QueryRun& run, TaskId id) {
                                  carry->set.byte_size()));
       task.carry_bytes = net::wire::charged_bytes(carry->set);
       task.carry_raw_bytes = carry->set.byte_size();
-      if (policy_.vectorized) task.acc->set_carry(carry->set);
+      task.acc->set_carry(carry->set);
     }
     ship_span.finish(t);
   }
@@ -694,7 +694,7 @@ net::SimTime DagExecutor::fire_scatter_leg(QueryRun& run, TaskId id) {
                              scan.assembly);
     Located c = ship(scan.carry, scan.assembly, net::Category::kData);
     ship_span.finish(c.ready_at);
-    out.set = sparql::join(c.set, out.set, policy_.vectorized);
+    out.set = sparql::join(c.set, out.set);
     out.ready_at = std::max(out.ready_at, c.ready_at);
   }
   scan.out = std::move(out);
@@ -734,13 +734,8 @@ net::SimTime DagExecutor::fire_chain_hop(QueryRun& run, TaskId id) {
     std::optional<SolutionSet> local =
         run_at_provider(prov, scan.pattern, t, run.initiator, run.rep);
     if (local.has_value()) {
-      // The vectorized accumulator joins with the carry it was given at
-      // ship time; the row-at-a-time A/B arm joins with its own kernel.
-      if (scan.has_carry && !policy_.vectorized) {
-        scan.acc->add(sparql::join(scan.carry.set, *local, false));
-      } else {
-        scan.acc->add(*local);
-      }
+      // The accumulator joins with the carry it was given at ship time.
+      scan.acc->add(*local);
       scan.site = prov;
       scan.sender = prov;
     } else if (policy_.retry.enabled() &&
@@ -895,7 +890,7 @@ net::SimTime DagExecutor::fire_relookup(QueryRun& run, TaskId id) {
                                  scan.carry.set.byte_size()));
       scan.carry_bytes = net::wire::charged_bytes(scan.carry.set);
       scan.carry_raw_bytes = scan.carry.set.byte_size();
-      if (policy_.vectorized) scan.acc->set_carry(scan.carry.set);
+      scan.acc->set_carry(scan.carry.set);
     }
     ship_span.finish(t);
   }
@@ -940,7 +935,7 @@ net::SimTime DagExecutor::fire_binary(QueryRun& run, TaskId id) {
     case TaskKind::kJoin: {
       auto [cl, cr] = colocate(std::move(l), std::move(r), run.initiator,
                                run.rep);
-      out.set = sparql::join(cl.set, cr.set, policy_.vectorized);
+      out.set = sparql::join(cl.set, cr.set);
       out.site = cl.site;
       out.ready_at = std::max(cl.ready_at, cr.ready_at);
       break;
@@ -948,8 +943,7 @@ net::SimTime DagExecutor::fire_binary(QueryRun& run, TaskId id) {
     case TaskKind::kLeftJoin: {
       auto [cl, cr] = colocate(std::move(l), std::move(r), run.initiator,
                                run.rep);
-      out.set = sparql::left_join_conditioned(cl.set, cr.set, op.expr,
-                                              policy_.vectorized);
+      out.set = sparql::left_join_conditioned(cl.set, cr.set, op.expr);
       out.site = cl.site;
       out.ready_at = std::max(cl.ready_at, cr.ready_at);
       break;
@@ -957,7 +951,7 @@ net::SimTime DagExecutor::fire_binary(QueryRun& run, TaskId id) {
     case TaskKind::kMinus: {
       auto [cl, cr] = colocate(std::move(l), std::move(r), run.initiator,
                                run.rep);
-      out.set = sparql::minus(cl.set, cr.set, policy_.vectorized);
+      out.set = sparql::minus(cl.set, cr.set);
       out.site = cl.site;
       out.ready_at = std::max(cl.ready_at, cr.ready_at);
       break;
@@ -971,8 +965,7 @@ net::SimTime DagExecutor::fire_binary(QueryRun& run, TaskId id) {
         l = std::move(cl);
         r = std::move(cr);
       }
-      out.set = sparql::deduplicated(sparql::set_union(l.set, r.set),
-                                     policy_.vectorized);
+      out.set = sparql::deduplicated(sparql::set_union(l.set, r.set));
       out.site = l.site;
       out.ready_at = std::max(l.ready_at, r.ready_at);
       break;
@@ -989,7 +982,7 @@ net::SimTime DagExecutor::fire_filter(QueryRun& run, TaskId id) {
   Task& task = run.tasks[id];
   const PhysicalOp& op = run.plan.ops[task.op];
   Located l = run.tasks[op.inputs.front()].out;
-  l.set = sparql::filter_set(l.set, *op.expr, policy_.vectorized);
+  l.set = sparql::filter_set(l.set, *op.expr);
   task.out = std::move(l);
   complete(run, id, task.out.ready_at);
   return 0;
@@ -1010,7 +1003,7 @@ net::SimTime DagExecutor::fire_modifier(QueryRun& run, TaskId id) {
     }
     case sparql::AlgebraKind::kDistinct:
     case sparql::AlgebraKind::kReduced:
-      l.set = sparql::deduplicated(std::move(l.set), policy_.vectorized);
+      l.set = sparql::deduplicated(l.set);
       break;
     case sparql::AlgebraKind::kOrderBy:
       sparql::order_solutions(l.set, op.order);

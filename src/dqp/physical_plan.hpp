@@ -65,13 +65,6 @@ struct ExecutionPolicy {
   bool frequency_join_order = true;  // IV-D: order AND patterns by frequency
   bool overlap_aware_sites = true;   // IV-D/IV-F: end chains at shared nodes
 
-  /// Evaluate join/filter/distinct operators over dictionary-id columns
-  /// (sparql/columnar.hpp) instead of row-at-a-time term comparisons. Pure
-  /// execution detail: rows, plan notes and traffic are byte-identical
-  /// either way (pinned by tests/sparql/vectorized_ab_test.cpp); false
-  /// keeps the row-at-a-time kernels for A/B comparison.
-  bool vectorized = true;
-
   /// Adaptive per-pattern strategy selection (the paper's Sect. V future
   /// work: plans under a mixture of traffic and response-time objectives).
   /// When set, `primitive` is ignored for index-served patterns and the

@@ -22,8 +22,8 @@
 // Both section orders are canonical (sorted vars, sorted terms, absolute
 // per-row indexes), so the encoded *size* of a set depends only on its
 // multiset of rows, never on row order. That invariant is what keeps the
-// parallel batch driver and the vectorized/legacy A/B byte-identical: any
-// execution that produces the same rows is charged the same bytes.
+// parallel batch driver byte-identical to serial execution: any execution
+// that produces the same rows is charged the same bytes.
 //
 // Sizes never go through a payload string: `encoded_size` computes the
 // canonical encoding's length from the set's id-space parts

@@ -1,7 +1,18 @@
-#include "sparql/columnar.hpp"
-
+// The SPARQL set algebra — join, minus, left join (with or without an
+// OPTIONAL condition), filter and distinct — over dictionary ids.
+//
+// Each operation interns every distinct term of its operand sets into a
+// per-operation rdf::TermDictionary and runs over columnar TermId batches:
+// rows are compared as fixed-width id tuples, hash-join keys are packed id
+// tuples, and FILTER conditions are evaluated once per distinct id tuple of
+// the expression's variables. Strings are touched exactly twice per
+// operation: once to intern each distinct term and once to materialize the
+// surviving rows. DISTINCT runs on sparql::ChainAccumulator, the same
+// id-space merge the executor uses for chain hops.
+//
+// Row order is part of the contract (the executor's results, plan notes and
+// traffic depend on it) and is pinned by tests/sparql/kernel_golden_test.cpp.
 #include <algorithm>
-#include <cstring>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -9,6 +20,8 @@
 
 #include "rdf/dictionary.hpp"
 #include "sparql/accumulator.hpp"
+#include "sparql/eval.hpp"
+#include "sparql/solution.hpp"
 
 namespace ahsw::sparql {
 
@@ -74,9 +87,8 @@ struct MergeSchema {
     std::size_t a;
     std::size_t b;
   };
-  /// Columns present in both schemas. Because a schema lists the variables
-  /// bound in at least one row, this is exactly shared_variables(a, b) of
-  /// the legacy join.
+  /// Columns present in both schemas: the variables bound in at least one
+  /// row of each operand.
   std::vector<SharedCol> shared;
 };
 
@@ -129,7 +141,7 @@ Binding materialize(const std::vector<std::string>& vars,
 
 /// Merge row `ra` of `ta` with row `rb` of `tb` into `buf` (output schema
 /// order, a's value winning where both bind — they are equal when the pair
-/// is compatible, matching Binding::merged).
+/// is compatible).
 void merge_cells(const Table& ta, std::size_t ra, const Table& tb,
                  std::size_t rb, const MergeSchema& m,
                  std::vector<TermId>& buf) {
@@ -146,12 +158,11 @@ void append_id(std::string& key, TermId id) {
   key.append(reinterpret_cast<const char*>(&id), sizeof id);
 }
 
-/// The join core shared by vec_join and vec_left_join. Emission order
-/// replicates the legacy hash join exactly: per a-row in order, full-key
-/// group matches in b insertion order, then partial rows, with a full scan
-/// for a-rows missing part of the shared key. When `matched` is non-null it
-/// records, per a-row, whether any pair was emitted (the LeftJoin minus
-/// part needs it).
+/// The join core shared by join and left_join. Emission order: per a-row
+/// in order, full-key group matches in b insertion order, then partial
+/// rows, with a full scan for a-rows missing part of the shared key. When
+/// `matched` is non-null it records, per a-row, whether any pair was
+/// emitted (the LeftJoin minus part needs it).
 void join_core(const SolutionSet& a, const SolutionSet& b, SolutionSet& out,
                std::vector<char>* matched) {
   rdf::TermDictionary dict = build_dictionary({&a, &b});
@@ -238,13 +249,13 @@ std::vector<MergeSchema::SharedCol> shared_columns(const Table& ta,
 
 }  // namespace
 
-SolutionSet vec_join(const SolutionSet& a, const SolutionSet& b) {
+SolutionSet join(const SolutionSet& a, const SolutionSet& b) {
   SolutionSet out;
   join_core(a, b, out, nullptr);
   return out;
 }
 
-SolutionSet vec_minus(const SolutionSet& a, const SolutionSet& b) {
+SolutionSet minus(const SolutionSet& a, const SolutionSet& b) {
   rdf::TermDictionary dict = build_dictionary({&a, &b});
   Table ta = build_table(a, dict);
   Table tb = build_table(b, dict);
@@ -260,7 +271,7 @@ SolutionSet vec_minus(const SolutionSet& a, const SolutionSet& b) {
   return out;
 }
 
-SolutionSet vec_left_join(const SolutionSet& a, const SolutionSet& b) {
+SolutionSet left_join(const SolutionSet& a, const SolutionSet& b) {
   SolutionSet out;
   std::vector<char> matched;
   join_core(a, b, out, &matched);
@@ -273,10 +284,9 @@ SolutionSet vec_left_join(const SolutionSet& a, const SolutionSet& b) {
   return out;
 }
 
-SolutionSet vec_left_join_conditioned(const SolutionSet& a,
-                                      const SolutionSet& b,
-                                      const ExprPtr& cond) {
-  if (cond == nullptr) return vec_left_join(a, b);
+SolutionSet left_join_conditioned(const SolutionSet& a, const SolutionSet& b,
+                                  const ExprPtr& cond) {
+  if (cond == nullptr) return left_join(a, b);
   rdf::TermDictionary dict = build_dictionary({&a, &b});
   Table ta = build_table(a, dict);
   Table tb = build_table(b, dict);
@@ -330,7 +340,7 @@ SolutionSet vec_left_join_conditioned(const SolutionSet& a,
   return out;
 }
 
-SolutionSet vec_filter_set(const SolutionSet& in, const Expr& e) {
+SolutionSet filter_set(const SolutionSet& in, const Expr& e) {
   rdf::TermDictionary dict = build_dictionary({&in});
   Table t = build_table(in, dict);
   std::vector<std::size_t> cond_cols;
@@ -361,7 +371,7 @@ SolutionSet vec_filter_set(const SolutionSet& in, const Expr& e) {
   return out;
 }
 
-SolutionSet vec_deduplicated(const SolutionSet& in) {
+SolutionSet deduplicated(const SolutionSet& in) {
   // Canonical sort + unique in id space is exactly what the merge
   // accumulator materializes.
   ChainAccumulator acc;

@@ -1,3 +1,5 @@
+#include <charconv>
+#include <cstdint>
 #include <map>
 #include <set>
 
@@ -81,6 +83,20 @@ class Parser {
 
   [[noreturn]] static void fail(const Token& t, const std::string& what) {
     throw QuerySyntaxError(t.line, t.column, what);
+  }
+
+  /// The non-negative integer after LIMIT or OFFSET; one that does not fit
+  /// in 64 bits is a syntax error at its token, not an exception escaping
+  /// from the conversion.
+  std::uint64_t parse_count(std::string_view clause) {
+    const Token& t = expect(TokenKind::kInteger, "integer");
+    std::uint64_t n = 0;
+    const char* end = t.text.data() + t.text.size();
+    auto [ptr, ec] = std::from_chars(t.text.data(), end, n);
+    if (ec != std::errc{} || ptr != end) {
+      fail(t, std::string(clause) + " value " + t.text + " out of range");
+    }
+    return n;
   }
 
   // --- prologue -----------------------------------------------------------
@@ -521,9 +537,9 @@ class Parser {
     }
     while (true) {
       if (accept_keyword("LIMIT")) {
-        q.limit = std::stoull(expect(TokenKind::kInteger, "integer").text);
+        q.limit = parse_count("LIMIT");
       } else if (accept_keyword("OFFSET")) {
-        q.offset = std::stoull(expect(TokenKind::kInteger, "integer").text);
+        q.offset = parse_count("OFFSET");
       } else {
         break;
       }

@@ -275,6 +275,40 @@ TEST(Parser, LiteralSubjectThrows) {
                QuerySyntaxError);
 }
 
+/// The QuerySyntaxError `text` raises, or fails the test.
+QuerySyntaxError syntax_error(const std::string& text) {
+  try {
+    (void)parse_query(text);
+  } catch (const QuerySyntaxError& e) {
+    return e;
+  }
+  ADD_FAILURE() << "no QuerySyntaxError for: " << text;
+  return QuerySyntaxError(0, 0, "none");
+}
+
+TEST(Parser, OverflowingLimitThrowsAtItsToken) {
+  const std::string text =
+      "SELECT ?s WHERE { ?s ?p ?o . }\nLIMIT 99999999999999999999999";
+  QuerySyntaxError e = syntax_error(text);
+  EXPECT_EQ(e.line(), 2u);
+  EXPECT_EQ(e.column(), 7u);
+  EXPECT_NE(std::string(e.what()).find("LIMIT"), std::string::npos);
+  // The largest value that fits still parses.
+  Query q = parse_query(
+      "SELECT ?s WHERE { ?s ?p ?o . } LIMIT 18446744073709551615");
+  ASSERT_TRUE(q.limit.has_value());
+  EXPECT_EQ(*q.limit, 18446744073709551615ull);
+}
+
+TEST(Parser, OverflowingOffsetThrowsAtItsToken) {
+  const std::string text =
+      "SELECT ?s WHERE { ?s ?p ?o . } LIMIT 3 OFFSET 18446744073709551616";
+  QuerySyntaxError e = syntax_error(text);
+  EXPECT_EQ(e.line(), 1u);
+  EXPECT_EQ(e.column(), text.find("1844") + 1);
+  EXPECT_NE(std::string(e.what()).find("OFFSET"), std::string::npos);
+}
+
 TEST(Parser, TrailingInputThrows) {
   EXPECT_THROW((void)parse_query("ASK { ?s ?p ?o . } garbage"),
                QuerySyntaxError);

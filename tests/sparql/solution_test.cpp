@@ -41,32 +41,6 @@ TEST(Binding, SlotsStaySorted) {
   EXPECT_EQ(b.slots()[2].first, "z");
 }
 
-TEST(Binding, CompatibilityPerPerezEtAl) {
-  Binding u1 = bind({{"x", "a"}, {"y", "b"}});
-  Binding u2 = bind({{"y", "b"}, {"z", "c"}});
-  Binding u3 = bind({{"y", "OTHER"}});
-  EXPECT_TRUE(u1.compatible(u2));
-  EXPECT_TRUE(u2.compatible(u1));
-  EXPECT_FALSE(u1.compatible(u3));
-  // Disjoint domains are always compatible.
-  EXPECT_TRUE(bind({{"x", "a"}}).compatible(bind({{"q", "z"}})));
-  // The empty mapping is compatible with everything.
-  EXPECT_TRUE(Binding{}.compatible(u1));
-}
-
-TEST(Binding, MergedUnionsDomains) {
-  Binding m = bind({{"x", "a"}}).merged(bind({{"y", "b"}}));
-  EXPECT_EQ(*m.get("x"), iri("a"));
-  EXPECT_EQ(*m.get("y"), iri("b"));
-  EXPECT_EQ(m.size(), 2u);
-}
-
-TEST(Binding, MergedKeepsSharedOnce) {
-  Binding m =
-      bind({{"x", "a"}, {"y", "b"}}).merged(bind({{"y", "b"}, {"z", "c"}}));
-  EXPECT_EQ(m.size(), 3u);
-}
-
 TEST(Binding, ProjectedKeepsOnlyNamed) {
   Binding b = bind({{"x", "a"}, {"y", "b"}, {"z", "c"}});
   Binding p = b.projected({"x", "z", "missing"});
@@ -78,6 +52,42 @@ TEST(Binding, ProjectedKeepsOnlyNamed) {
 TEST(Binding, OrderingIsCanonical) {
   EXPECT_LT(bind({{"x", "a"}}), bind({{"x", "b"}}));
   EXPECT_EQ(bind({{"x", "a"}}), bind({{"x", "a"}}));
+}
+
+/// Compatible per Perez et al., observed through the join of two
+/// single-row sets: the pair joins iff the mappings are compatible.
+bool compatible(const Binding& u1, const Binding& u2) {
+  return !join(SolutionSet({u1}), SolutionSet({u2})).empty();
+}
+
+TEST(SolutionSet, JoinCompatibilityPerPerezEtAl) {
+  Binding u1 = bind({{"x", "a"}, {"y", "b"}});
+  Binding u2 = bind({{"y", "b"}, {"z", "c"}});
+  Binding u3 = bind({{"y", "OTHER"}});
+  EXPECT_TRUE(compatible(u1, u2));
+  EXPECT_TRUE(compatible(u2, u1));
+  EXPECT_FALSE(compatible(u1, u3));
+  // Disjoint domains are always compatible.
+  EXPECT_TRUE(compatible(bind({{"x", "a"}}), bind({{"q", "z"}})));
+  // The empty mapping is compatible with everything.
+  EXPECT_TRUE(compatible(Binding{}, u1));
+}
+
+TEST(SolutionSet, JoinUnionsDisjointDomains) {
+  SolutionSet j = join(SolutionSet({bind({{"x", "a"}})}),
+                       SolutionSet({bind({{"y", "b"}})}));
+  ASSERT_EQ(j.size(), 1u);
+  const Binding& m = j.rows()[0];
+  EXPECT_EQ(*m.get("x"), iri("a"));
+  EXPECT_EQ(*m.get("y"), iri("b"));
+  EXPECT_EQ(m.size(), 2u);
+}
+
+TEST(SolutionSet, JoinKeepsSharedVariableOnce) {
+  SolutionSet j = join(SolutionSet({bind({{"x", "a"}, {"y", "b"}})}),
+                       SolutionSet({bind({{"y", "b"}, {"z", "c"}})}));
+  ASSERT_EQ(j.size(), 1u);
+  EXPECT_EQ(j.rows()[0].size(), 3u);
 }
 
 TEST(SolutionSet, JoinOnSharedVariable) {
