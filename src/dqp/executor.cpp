@@ -40,6 +40,16 @@ void rotate_end_to_back(std::vector<overlay::Provider>& chain,
   chain.push_back(saved);
 }
 
+/// A completed scan's set, materialized once. It inherits the
+/// accumulator's wire size as its memo: same distinct rows, same canonical
+/// encoding, so the next ship or colocate does not re-intern it.
+SolutionSet take_merged(std::unique_ptr<sparql::ChainAccumulator>& acc) {
+  SolutionSet out = acc->materialize();
+  out.set_wire_cache(net::wire::charged_bytes(*acc));
+  acc.reset();
+  return out;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -65,16 +75,14 @@ DagExecutor::Located DagExecutor::ship(Located from, net::NodeAddress target,
   return from;
 }
 
-std::optional<SolutionSet> DagExecutor::run_at_provider(
-    net::NodeAddress provider, const sparql::BgpPattern& p, net::SimTime& now,
-    net::NodeAddress /*initiator*/, ExecutionReport& rep) {
+const rdf::TripleStore* DagExecutor::run_at_provider(
+    net::NodeAddress provider, net::SimTime& now, ExecutionReport& rep) {
   if (net().is_failed(provider)) {
     now = net().timeout(now, provider, net::Category::kQuery);
-    return std::nullopt;
+    return nullptr;
   }
   ++rep.providers_contacted;
-  sparql::LocalEngine engine(overlay_->store_of(provider));
-  return engine.match_pattern(p);
+  return &overlay_->store_of(provider);
 }
 
 void DagExecutor::give_up_on_provider(net::NodeAddress provider,
@@ -638,12 +646,15 @@ net::SimTime DagExecutor::fire_scatter_leg(QueryRun& run, TaskId id) {
   {
     obs::SpanScope exec_span(trace_, obs::SpanKind::kLocalExec,
                              "node " + std::to_string(prov), t, prov);
-    std::optional<SolutionSet> local =
-        run_at_provider(prov, scan.pattern, t, run.initiator, run.rep);
-    if (local.has_value()) {
-      t = net().send(prov, scan.assembly, net::wire::charged_bytes(*local),
-                     t, net::Category::kData, local->byte_size());
-      scan.acc->add(*local);
+    if (const rdf::TripleStore* store = run_at_provider(prov, t, run.rep)) {
+      // The leg ships its own matches: one store's matches of one pattern
+      // are duplicate-free, so the leg's accumulator prices exactly their
+      // encoding.
+      sparql::ChainAccumulator shipped;
+      shipped.add(*store, scan.pattern);
+      t = net().send(prov, scan.assembly, net::wire::charged_bytes(shipped),
+                     t, net::Category::kData, shipped.byte_size());
+      scan.acc->add(*store, scan.pattern);
     } else if (policy_.retry.enabled() &&
                leg.attempt < policy_.retry.max_retries) {
       // Dead contact with attempts left: hand the slot to a replacement leg
@@ -684,8 +695,7 @@ net::SimTime DagExecutor::fire_scatter_leg(QueryRun& run, TaskId id) {
 
   // Last leg: gather at the assembly site, joining any carried set there.
   Located out;
-  out.set = scan.acc->materialize();
-  scan.acc.reset();
+  out.set = take_merged(scan.acc);
   out.site = scan.assembly;
   out.ready_at = scan.done_at;
   if (scan.has_carry) {
@@ -731,11 +741,9 @@ net::SimTime DagExecutor::fire_chain_hop(QueryRun& run, TaskId id) {
   {
     obs::SpanScope hop_span(trace_, obs::SpanKind::kChainHop,
                             "node " + std::to_string(prov), t, prov);
-    std::optional<SolutionSet> local =
-        run_at_provider(prov, scan.pattern, t, run.initiator, run.rep);
-    if (local.has_value()) {
+    if (const rdf::TripleStore* store = run_at_provider(prov, t, run.rep)) {
       // The accumulator joins with the carry it was given at ship time.
-      scan.acc->add(*local);
+      scan.acc->add(*store, scan.pattern);
       scan.site = prov;
       scan.sender = prov;
     } else if (policy_.retry.enabled() &&
@@ -793,8 +801,7 @@ net::SimTime DagExecutor::fire_chain_hop(QueryRun& run, TaskId id) {
     spawn_relookup(run, hop.scan, t);
     return t;
   }
-  scan.out.set = scan.acc->materialize();
-  scan.acc.reset();
+  scan.out.set = take_merged(scan.acc);
   scan.out.site = scan.site;
   scan.out.ready_at = t;
   complete(run, hop.scan, t);

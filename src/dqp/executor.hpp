@@ -225,12 +225,13 @@ class DagExecutor {
                                          net::SimTime now,
                                          ExecutionReport& rep);
   Located ship(Located from, net::NodeAddress target, net::Category category);
-  /// Contact a provider: charges a timeout and returns nullopt when it is
-  /// dead, without giving up on it — the caller decides between a retry
-  /// (RetryPolicy) and `give_up_on_provider`.
-  std::optional<sparql::SolutionSet> run_at_provider(
-      net::NodeAddress provider, const sparql::BgpPattern& p,
-      net::SimTime& now, net::NodeAddress initiator, ExecutionReport& rep);
+  /// Contact a provider: returns its store, which the caller's accumulator
+  /// reads the sub-query's matches from; charges a timeout and returns
+  /// nullptr when it is dead, without giving up on it — the caller decides
+  /// between a retry (RetryPolicy) and `give_up_on_provider`.
+  const rdf::TripleStore* run_at_provider(net::NodeAddress provider,
+                                          net::SimTime& now,
+                                          ExecutionReport& rep);
   /// Final failure handling for a dead provider: count the skip and trigger
   /// the paper's lazy index repair. With retries off, every contact failure
   /// is final, reproducing the pre-retry behavior exactly.

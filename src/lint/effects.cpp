@@ -131,7 +131,9 @@ SharedStateSpec SharedStateSpec::parse(std::string_view text,
       SharedStateDecl st;
       st.name = std::string(words[1]);
       st.home = attr_of(words, "home");
-      for (std::string_view h : common::split(attr_of(words, "hints"), ',')) {
+      // split() returns views: keep the attribute alive across the loop.
+      const std::string hints = attr_of(words, "hints");
+      for (std::string_view h : common::split(hints, ',')) {
         h = common::trim(h);
         if (!h.empty()) st.hints.emplace_back(h);
       }

@@ -14,7 +14,10 @@ std::size_t TermDictionary::probe(const Term& t,
 }
 
 TermId TermDictionary::intern(const Term& t) {
-  const std::uint64_t hash = TermHash{}(t);
+  return intern(t, TermHash{}(t));
+}
+
+TermId TermDictionary::intern(const Term& t, std::uint64_t hash) {
   if (2 * (terms_.size() + 1) > slots_.size()) {
     // Keep the load at most 1/2; re-place every id by its stored hash.
     slots_.assign(slots_.empty() ? 16 : 2 * slots_.size(), kInvalidTermId);

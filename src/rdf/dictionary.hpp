@@ -20,11 +20,21 @@ class TermDictionary {
   /// Intern a term, returning its id (existing or freshly assigned).
   TermId intern(const Term& t);
 
+  /// intern(t) for a caller that already holds TermHash{}(t) — typically
+  /// another dictionary's hash_of(id) — so the term is not hashed again.
+  /// Precondition: hash == TermHash{}(t).
+  TermId intern(const Term& t, std::uint64_t hash);
+
   /// Id of a term if already interned.
   [[nodiscard]] std::optional<TermId> find(const Term& t) const;
 
   /// Term for an id previously returned by intern(). Precondition: valid id.
   [[nodiscard]] const Term& term(TermId id) const { return terms_.at(id); }
+
+  /// TermHash of term(id), stored at intern time. Precondition: valid id.
+  [[nodiscard]] std::uint64_t hash_of(TermId id) const {
+    return hashes_.at(id);
+  }
 
   [[nodiscard]] std::size_t size() const noexcept { return terms_.size(); }
 

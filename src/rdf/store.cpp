@@ -68,74 +68,68 @@ bool TripleStore::encode(const TriplePattern& pattern, bool& s_bound,
   return true;
 }
 
-void TripleStore::scan(const TriplePattern& pattern,
-                       const std::function<bool(const Triple&)>& fn) const {
+void TripleStore::scan_ids(
+    const TriplePattern& pattern,
+    const std::function<void(TermId, TermId, TermId)>& fn) const {
   bool sb, pb, ob;
   TermId s, p, o;
   if (!encode(pattern, sb, pb, ob, s, p, o)) return;
 
-  // Each case walks the ordering whose prefix covers the bound positions;
-  // `emit` decodes the index-specific key layout back to (s, p, o).
-  auto emit = [&](TermId es, TermId ep, TermId eo) {
-    return fn(Triple{dict_.term(es), dict_.term(ep), dict_.term(eo)});
-  };
-
+  // Each case walks the ordering whose prefix covers the bound positions
+  // and hands the index-specific key layout back as (s, p, o).
   if (sb && pb && ob) {
-    if (spo_.count({s, p, o}) > 0) emit(s, p, o);
+    if (spo_.count({s, p, o}) > 0) fn(s, p, o);
     return;
   }
   if (sb && pb) {
     for (auto it = spo_.lower_bound({s, p, kMin});
          it != spo_.end() && (*it)[0] == s && (*it)[1] == p; ++it) {
-      if (!emit((*it)[0], (*it)[1], (*it)[2])) return;
+      fn((*it)[0], (*it)[1], (*it)[2]);
     }
     return;
   }
   if (sb && ob) {
     for (auto it = osp_.lower_bound({o, s, kMin});
          it != osp_.end() && (*it)[0] == o && (*it)[1] == s; ++it) {
-      if (!emit((*it)[1], (*it)[2], (*it)[0])) return;
+      fn((*it)[1], (*it)[2], (*it)[0]);
     }
     return;
   }
   if (pb && ob) {
     for (auto it = pos_.lower_bound({p, o, kMin});
          it != pos_.end() && (*it)[0] == p && (*it)[1] == o; ++it) {
-      if (!emit((*it)[2], (*it)[0], (*it)[1])) return;
+      fn((*it)[2], (*it)[0], (*it)[1]);
     }
     return;
   }
   if (sb) {
     for (auto it = spo_.lower_bound({s, kMin, kMin});
          it != spo_.end() && (*it)[0] == s; ++it) {
-      if (!emit((*it)[0], (*it)[1], (*it)[2])) return;
+      fn((*it)[0], (*it)[1], (*it)[2]);
     }
     return;
   }
   if (pb) {
     for (auto it = pos_.lower_bound({p, kMin, kMin});
          it != pos_.end() && (*it)[0] == p; ++it) {
-      if (!emit((*it)[2], (*it)[0], (*it)[1])) return;
+      fn((*it)[2], (*it)[0], (*it)[1]);
     }
     return;
   }
   if (ob) {
     for (auto it = osp_.lower_bound({o, kMin, kMin});
          it != osp_.end() && (*it)[0] == o; ++it) {
-      if (!emit((*it)[1], (*it)[2], (*it)[0])) return;
+      fn((*it)[1], (*it)[2], (*it)[0]);
     }
     return;
   }
-  for (const Key& k : spo_) {
-    if (!emit(k[0], k[1], k[2])) return;
-  }
+  for (const Key& k : spo_) fn(k[0], k[1], k[2]);
 }
 
 void TripleStore::match(const TriplePattern& pattern,
                         const std::function<void(const Triple&)>& fn) const {
-  scan(pattern, [&](const Triple& t) {
-    fn(t);
-    return true;
+  scan_ids(pattern, [&](TermId s, TermId p, TermId o) {
+    fn(Triple{dict_.term(s), dict_.term(p), dict_.term(o)});
   });
 }
 
@@ -147,17 +141,12 @@ std::vector<Triple> TripleStore::match(const TriplePattern& pattern) const {
 
 std::size_t TripleStore::count_matches(const TriplePattern& pattern) const {
   std::size_t n = 0;
-  scan(pattern, [&](const Triple&) {
-    ++n;
-    return true;
-  });
+  scan_ids(pattern, [&](TermId, TermId, TermId) { ++n; });
   return n;
 }
 
 void TripleStore::for_each(const std::function<void(const Triple&)>& fn) const {
-  for (const Key& k : spo_) {
-    fn(Triple{dict_.term(k[0]), dict_.term(k[1]), dict_.term(k[2])});
-  }
+  match(TriplePattern{Variable{"s"}, Variable{"p"}, Variable{"o"}}, fn);
 }
 
 }  // namespace ahsw::rdf

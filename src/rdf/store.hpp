@@ -29,9 +29,16 @@ class TripleStore {
   [[nodiscard]] std::size_t size() const noexcept { return spo_.size(); }
   [[nodiscard]] bool empty() const noexcept { return spo_.empty(); }
 
-  /// Invoke `fn` for every triple matching the pattern's bound positions.
-  /// Variable-sharing constraints (e.g. ?x p ?x) are NOT enforced here.
-  /// Iteration order is deterministic (term-id order of the chosen index).
+  /// The one scan body: invoke `fn(s, p, o)` with this store's own
+  /// dictionary ids (see dictionary()) for every triple matching the
+  /// pattern's bound positions. Variable-sharing constraints (e.g. ?x p ?x)
+  /// are NOT enforced here. Iteration order is deterministic (term-id order
+  /// of the chosen index); match(), count_matches() and for_each() wrap
+  /// this scan and share its order.
+  void scan_ids(const TriplePattern& pattern,
+                const std::function<void(TermId, TermId, TermId)>& fn) const;
+
+  /// scan_ids() decoded to triples.
   void match(const TriplePattern& pattern,
              const std::function<void(const Triple&)>& fn) const;
 
@@ -45,7 +52,8 @@ class TripleStore {
   /// Invoke `fn` for every stored triple.
   void for_each(const std::function<void(const Triple&)>& fn) const;
 
-  /// The dictionary interning this store's terms (for diagnostics).
+  /// The dictionary interning this store's terms: it decodes the ids
+  /// scan_ids() emits.
   [[nodiscard]] const TermDictionary& dictionary() const noexcept {
     return dict_;
   }
@@ -64,9 +72,6 @@ class TripleStore {
   [[nodiscard]] bool encode(const TriplePattern& pattern, bool& s_bound,
                             bool& p_bound, bool& o_bound, TermId& s, TermId& p,
                             TermId& o) const;
-
-  void scan(const TriplePattern& pattern,
-            const std::function<bool(const Triple&)>& fn) const;
 };
 
 }  // namespace ahsw::rdf

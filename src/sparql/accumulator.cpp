@@ -5,6 +5,7 @@
 
 #include "common/hash.hpp"
 #include "common/varint.hpp"
+#include "sparql/eval.hpp"
 
 namespace ahsw::sparql {
 
@@ -34,7 +35,7 @@ std::size_t schema_insert(std::vector<std::string>& vars,
 
 /// Columnar image of `s` over `dict`: fills the sorted schema `vars` and
 /// the row-major ids `cells` (kUnbound where a row leaves a variable
-/// unbound); returns the row count. The only place this file interns.
+/// unbound); returns the row count.
 std::size_t intern_rows(const SolutionSet& s, rdf::TermDictionary& dict,
                         std::vector<std::string>& vars,
                         std::vector<TermId>& cells) {
@@ -153,6 +154,31 @@ const ChainAccumulator::CarryIndex& ChainAccumulator::carry_index(
 
 void ChainAccumulator::add(const SolutionSet& local) {
   local_.rows = intern_rows(local, parts_.dict, local_.vars, local_.cells);
+  merge_local();
+}
+
+void ChainAccumulator::add(const rdf::TripleStore& store,
+                           const BgpPattern& p) {
+  local_.rows = match_ids(store, p, local_.vars, local_.cells);
+  import_local(store.dictionary());
+  merge_local();
+}
+
+void ChainAccumulator::import_local(const rdf::TermDictionary& from) {
+  if (memo_.size() < from.size()) memo_.resize(from.size(), kUnbound);
+  for (TermId& id : local_.cells) {
+    TermId& to = memo_[id];
+    if (to == kUnbound) {
+      to = parts_.dict.intern(from.term(id), from.hash_of(id));
+      imported_.push_back(id);
+    }
+    id = to;
+  }
+  for (TermId id : imported_) memo_[id] = kUnbound;
+  imported_.clear();
+}
+
+void ChainAccumulator::merge_local() {
   if (has_carry_) {
     join_carry();
   } else {

@@ -9,7 +9,8 @@
 // keeps the set in id space instead, so a hop costs O(new rows):
 //
 //   - one rdf::TermDictionary lives for the whole scan; a contribution
-//     interns only its own terms;
+//     interns only its own terms, and a provider's contribution arrives as
+//     its store's ids, imported under their stored hashes;
 //   - accumulated rows are id tuples in arrival order, deduplicated through
 //     a hash table of row indexes that is probed, never iterated (rule D2);
 //   - the raw size is a per-row sum, maintained on insert;
@@ -29,6 +30,8 @@
 #include <vector>
 
 #include "rdf/dictionary.hpp"
+#include "rdf/store.hpp"
+#include "sparql/algebra.hpp"
 #include "sparql/solution.hpp"
 
 namespace ahsw::sparql {
@@ -65,6 +68,14 @@ class ChainAccumulator {
   /// Merge one provider's matches (joined with the carry, when one is set):
   /// the accumulated set becomes deduplicated(set_union(set, contribution)).
   void add(const SolutionSet& local);
+
+  /// add(LocalEngine(store).match_pattern(p)), read from the store's id
+  /// index through the pattern binder (match_ids): each distinct store term
+  /// the rows use is interned once per call, under the hash the store's
+  /// dictionary kept, so no row becomes a Triple or a Binding (unless a
+  /// pushed filter must see it) and no term is hashed again. This is how a
+  /// provider's matches enter a chain hop or a scatter leg.
+  void add(const rdf::TripleStore& store, const BgpPattern& p);
 
   /// == materialize().byte_size(), maintained incrementally.
   [[nodiscard]] std::size_t byte_size() const noexcept { return raw_bytes_; }
@@ -103,8 +114,13 @@ class ChainAccumulator {
     std::vector<std::size_t> partial;
   };
 
-  /// add() with a carry: hash-join local_ with carry_ and insert the
-  /// merged rows.
+  /// Re-key local_'s cells from ids of `from` to ids of parts_.dict.
+  void import_local(const rdf::TermDictionary& from);
+  /// Merge local_ (interned into parts_.dict): insert its rows, joined
+  /// with the carry when one is set.
+  void merge_local();
+  /// merge_local() with a carry: hash-join local_ with carry_ and insert
+  /// the merged rows.
   void join_carry();
   const CarryIndex& carry_index(const std::vector<std::size_t>& cols);
   void insert_row(const std::vector<Slot>& slots);
@@ -118,6 +134,10 @@ class ChainAccumulator {
   CanonicalParts parts_;
   std::vector<rdf::TermId> fresh_;  // bound since the last fold, unranked
   IdRows local_;                     // the contribution being added
+  // import_local's map from a store's ids to parts_.dict ids (kUnbound
+  // when not mapped yet), reset after each call through `imported_`.
+  std::vector<rdf::TermId> memo_;
+  std::vector<rdf::TermId> imported_;
   // Open-addressing probe table of row indexes (kEmptySlot when free);
   // probed by row hash, never iterated.
   std::vector<std::uint32_t> table_;

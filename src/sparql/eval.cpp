@@ -1,6 +1,7 @@
 #include "sparql/eval.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <set>
 
@@ -8,24 +9,15 @@ namespace ahsw::sparql {
 
 namespace {
 
-/// Bind the variables of `p` against a concrete triple, extending `base`.
-/// Returns false on conflict (repeated variable bound to different terms or
-/// disagreement with an existing binding).
-bool bind_triple(const rdf::TriplePattern& p, const rdf::Triple& t,
-                 const Binding& base, Binding& out) {
-  out = base;
-  auto bind_pos = [&](const rdf::PatternTerm& pt,
-                      const rdf::Term& value) -> bool {
-    if (const rdf::Variable* v = rdf::var_of(pt)) {
-      if (const rdf::Term* existing = out.get(v->name)) {
-        return *existing == value;
-      }
-      out.set(v->name, value);
-      return true;
-    }
-    return std::get<rdf::Term>(pt) == value;
-  };
-  return bind_pos(p.s, t.s) && bind_pos(p.p, t.p) && bind_pos(p.o, t.o);
+/// `base` extended with one id row over `vars`, decoded through `dict`.
+Binding decoded(const Binding& base, const std::vector<std::string>& vars,
+                const rdf::TermId* ids, const rdf::TermDictionary& dict) {
+  Binding b = base;
+  b.reserve(base.size() + vars.size());
+  for (std::size_t c = 0; c < vars.size(); ++c) {
+    b.set(vars[c], dict.term(ids[c]));
+  }
+  return b;
 }
 
 /// Substitute variables bound in `b` into `p` to narrow the index scan.
@@ -76,33 +68,78 @@ std::size_t pick_next(const std::vector<BgpPattern>& bgp,
 
 }  // namespace
 
-SolutionSet LocalEngine::match_pattern(const BgpPattern& p) const {
-  SolutionSet out;
-  Binding empty;
-  store_->match(p.pattern, [&](const rdf::Triple& t) {
-    Binding b;
-    if (bind_triple(p.pattern, t, empty, b)) {
-      if (p.pushed_filter == nullptr || satisfies(*p.pushed_filter, b)) {
-        out.add(std::move(b));
+std::size_t match_ids(const rdf::TripleStore& store, const BgpPattern& p,
+                      std::vector<std::string>& vars,
+                      std::vector<rdf::TermId>& cells, const Binding& base) {
+  const std::array<const rdf::PatternTerm*, 3> positions = {
+      &p.pattern.s, &p.pattern.p, &p.pattern.o};
+  vars.clear();
+  for (const rdf::PatternTerm* pt : positions) {
+    if (const rdf::Variable* v = rdf::var_of(*pt)) vars.push_back(v->name);
+  }
+  std::sort(vars.begin(), vars.end());
+  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+  // col[k]: the schema column position k binds (kConstant for a term).
+  constexpr std::size_t kConstant = static_cast<std::size_t>(-1);
+  std::array<std::size_t, 3> col{};
+  for (std::size_t k = 0; k < 3; ++k) {
+    const rdf::Variable* v = rdf::var_of(*positions[k]);
+    col[k] = v == nullptr ? kConstant
+                          : static_cast<std::size_t>(
+                                std::lower_bound(vars.begin(), vars.end(),
+                                                 v->name) -
+                                vars.begin());
+  }
+
+  const std::size_t width = vars.size();
+  const rdf::TermDictionary& dict = store.dictionary();
+  cells.clear();
+  std::size_t rows = 0;
+  store.scan_ids(p.pattern, [&](rdf::TermId s, rdf::TermId pr, rdf::TermId o) {
+    const std::size_t at = cells.size();
+    cells.resize(at + width, rdf::kInvalidTermId);
+    const std::array<rdf::TermId, 3> ids = {s, pr, o};
+    for (std::size_t k = 0; k < 3; ++k) {
+      if (col[k] == kConstant) continue;
+      rdf::TermId& cell = cells[at + col[k]];
+      if (cell != rdf::kInvalidTermId && cell != ids[k]) {
+        cells.resize(at);  // a repeated variable bound to two terms
+        return;
       }
+      cell = ids[k];
     }
+    if (p.pushed_filter != nullptr &&
+        !satisfies(*p.pushed_filter,
+                   decoded(base, vars, cells.data() + at, dict))) {
+      cells.resize(at);
+      return;
+    }
+    ++rows;
   });
-  return out;
+  return rows;
+}
+
+SolutionSet LocalEngine::match_pattern(const BgpPattern& p) const {
+  SolutionSet unit;  // the empty mapping, extended by p
+  unit.add(Binding{});
+  return extend(unit, p);
 }
 
 SolutionSet LocalEngine::extend(const SolutionSet& input,
                                 const BgpPattern& p) const {
   SolutionSet out;
+  std::vector<std::string> vars;
+  std::vector<rdf::TermId> cells;
   for (const Binding& base : input.rows()) {
-    rdf::TriplePattern concrete = substituted(p.pattern, base);
-    store_->match(concrete, [&](const rdf::Triple& t) {
-      Binding b;
-      if (bind_triple(p.pattern, t, base, b)) {
-        if (p.pushed_filter == nullptr || satisfies(*p.pushed_filter, b)) {
-          out.add(std::move(b));
-        }
-      }
-    });
+    // Substituting the outer row narrows the scan; the matches bind only
+    // the variables it leaves open.
+    const std::size_t rows = match_ids(
+        *store_, BgpPattern{substituted(p.pattern, base), p.pushed_filter},
+        vars, cells, base);
+    for (std::size_t r = 0; r < rows; ++r) {
+      out.add(decoded(base, vars, cells.data() + r * vars.size(),
+                      store_->dictionary()));
+    }
   }
   return out;
 }

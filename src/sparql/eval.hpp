@@ -16,6 +16,19 @@
 
 namespace ahsw::sparql {
 
+/// The one pattern binder: the matches of `p` in `store` as ids of the
+/// store's own dictionary. Fills `vars` with the pattern's variables,
+/// sorted (the schema), and `cells` row-major over them, every slot bound,
+/// in scan order; returns the row count. A repeated variable (`?x p ?x`)
+/// keeps a triple only when its positions carry one id: within one
+/// dictionary, equal ids are equal terms. Only a pattern with a pushed
+/// filter decodes its rows: each is evaluated as a Binding, `base` (the
+/// outer row a BGP step substituted into `p`) extended with the row.
+std::size_t match_ids(const rdf::TripleStore& store, const BgpPattern& p,
+                      std::vector<std::string>& vars,
+                      std::vector<rdf::TermId>& cells,
+                      const Binding& base = {});
+
 /// Evaluation engine bound to a triple store.
 class LocalEngine {
  public:

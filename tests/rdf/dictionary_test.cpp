@@ -4,6 +4,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace ahsw::rdf {
 namespace {
@@ -86,6 +87,36 @@ TEST(TermDictionary, TraversalIsDeterministicInsertionOrder) {
     // terms()[id] and term(id) agree: ids index the traversal directly.
     EXPECT_EQ(d.terms()[i], d.term(static_cast<TermId>(i)));
   }
+}
+
+TEST(TermDictionary, InternWithStoredHashMatchesIntern) {
+  // A term imported from another dictionary, under the hash that one
+  // stored, lands on the id intern(t) gives it — here or in a dictionary
+  // that assigned it a different id.
+  TermDictionary from;
+  std::vector<Term> terms;
+  for (int i = 0; i < 200; ++i) {
+    terms.push_back(i % 3 == 0 ? Term::literal("v" + std::to_string(i))
+                               : Term::iri("http://e/" + std::to_string(i)));
+    from.intern(terms.back());
+  }
+  TermDictionary by_hash;
+  TermDictionary plain;
+  plain.intern(Term::iri("http://e/offset"));  // ids differ from `from`'s
+  by_hash.intern(Term::iri("http://e/offset"));
+  for (std::size_t k = terms.size(); k-- > 0;) {
+    const TermId id = *from.find(terms[k]);
+    EXPECT_EQ(from.hash_of(id), TermHash{}(terms[k]));
+    EXPECT_EQ(from.intern(terms[k], from.hash_of(id)), id);
+    const TermId imported = by_hash.intern(terms[k], from.hash_of(id));
+    EXPECT_EQ(imported, plain.intern(terms[k])) << k;
+    EXPECT_EQ(by_hash.term(imported), terms[k]);
+    EXPECT_EQ(by_hash.hash_of(imported), from.hash_of(id));
+    // Idempotent either way round.
+    EXPECT_EQ(by_hash.intern(terms[k]), imported);
+  }
+  EXPECT_EQ(by_hash.size(), plain.size());
+  EXPECT_NE(*by_hash.find(terms[0]), *from.find(terms[0]));
 }
 
 }  // namespace

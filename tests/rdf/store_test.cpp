@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -151,6 +154,73 @@ TEST(TripleStoreProperty, MatchAgreesWithNaiveScan) {
                       [&](const Triple& t) { return pat.matches(t); }));
     EXPECT_EQ(store.count_matches(pat), naive) << pat.to_string();
   }
+}
+
+/// The id scan, independently of match(): for every shape it emits the
+/// naive matches as the store's own ids, ordered by the key of the index
+/// whose prefix covers the bound positions (SPO, POS or OSP); match()
+/// decodes exactly that sequence and count_matches() counts it.
+TEST(TripleStoreProperty, IdScanEmitsMatchesInIndexOrder) {
+  common::Rng rng(7);
+  TripleStore store;
+  std::vector<Triple> all;
+  for (int i = 0; i < 300; ++i) {
+    Triple t{iri("s" + std::to_string(rng.below(20))),
+             iri("p" + std::to_string(rng.below(5))),
+             iri("o" + std::to_string(rng.below(30)))};
+    if (store.insert(t)) all.push_back(t);
+  }
+  const TermDictionary& dict = store.dictionary();
+  using Ids = std::array<TermId, 3>;
+  for (int trial = 0; trial < 80; ++trial) {
+    const std::uint64_t shape = static_cast<std::uint64_t>(trial % 8);
+    Term s = iri("s" + std::to_string(rng.below(20)));
+    Term p = iri("p" + std::to_string(rng.below(5)));
+    Term o = iri("o" + std::to_string(rng.below(30)));
+    const bool sb = (shape & 1) != 0;
+    const bool pb = (shape & 2) != 0;
+    const bool ob = (shape & 4) != 0;
+    TriplePattern pat{sb ? PatternTerm(s) : PatternTerm(Variable{"s"}),
+                      pb ? PatternTerm(p) : PatternTerm(Variable{"p"}),
+                      ob ? PatternTerm(o) : PatternTerm(Variable{"o"})};
+    // Index key of a match, as positions of (s, p, o).
+    std::array<std::size_t, 3> key = {0, 1, 2};  // SPO
+    if (pb && !sb) key = {1, 2, 0};              // POS
+    if (ob && !pb) key = {2, 0, 1};              // OSP
+    std::vector<Ids> expected;
+    for (const Triple& t : all) {
+      if (!pat.matches(t)) continue;
+      expected.push_back({*dict.find(t.s), *dict.find(t.p), *dict.find(t.o)});
+    }
+    std::sort(expected.begin(), expected.end(),
+              [&](const Ids& x, const Ids& y) {
+                return std::tie(x[key[0]], x[key[1]], x[key[2]]) <
+                       std::tie(y[key[0]], y[key[1]], y[key[2]]);
+              });
+    std::vector<Ids> scanned;
+    store.scan_ids(pat, [&](TermId a, TermId b, TermId c) {
+      scanned.push_back({a, b, c});
+    });
+    EXPECT_EQ(scanned, expected) << pat.to_string();
+
+    std::vector<Triple> decoded;
+    for (const Ids& ids : expected) {
+      decoded.push_back({dict.term(ids[0]), dict.term(ids[1]),
+                         dict.term(ids[2])});
+    }
+    EXPECT_EQ(store.match(pat), decoded) << pat.to_string();
+    EXPECT_EQ(store.count_matches(pat), expected.size()) << pat.to_string();
+  }
+}
+
+TEST(TripleStore, IdScanOfAbsentTermOrEmptyStoreEmitsNothing) {
+  std::size_t calls = 0;
+  auto count = [&](TermId, TermId, TermId) { ++calls; };
+  small_store().scan_ids(
+      TriplePattern{Variable{"s"}, iri("nobody"), Variable{"o"}}, count);
+  TripleStore().scan_ids(
+      TriplePattern{Variable{"s"}, Variable{"p"}, Variable{"o"}}, count);
+  EXPECT_EQ(calls, 0u);
 }
 
 }  // namespace

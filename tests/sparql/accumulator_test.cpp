@@ -4,7 +4,9 @@
 // with the accumulator: DISTINCT is normalize() + std::unique over Binding
 // rows, written out here because deduplicated() itself runs on the
 // accumulator, and the carry join is the hash join of sparql::join, which
-// does not use the accumulator's carry probe.
+// does not use the accumulator's carry probe. The id intake (rows read from
+// a provider store) is held to the string intake fed with
+// LocalEngine::match_pattern of the same store.
 #include "sparql/accumulator.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +17,10 @@
 
 #include "common/rng.hpp"
 #include "net/wire.hpp"
+#include "rdf/store.hpp"
 #include "rdf/term.hpp"
+#include "sparql/eval.hpp"
+#include "sparql/expr.hpp"
 #include "sparql/solution.hpp"
 
 namespace ahsw::sparql {
@@ -208,6 +213,195 @@ TEST(ChainAccumulator, EmptyAndZeroWidthContributions) {
   acc.add(empties);
   expect_matches(acc, distinct_rows(empties), "zero width");
   EXPECT_EQ(acc.parts().rows, 1u);
+}
+
+// --- The id intake: add(store, pattern) ----------------------------------
+
+Term node(std::uint64_t k) {
+  return Term::iri("http://example.org/n/" + std::to_string(k));
+}
+
+/// A provider store over a small pool, so patterns match often. Nodes
+/// double as subjects, predicates and objects (repeated variables across
+/// positions can match); objects mix in integers and literals (a numeric
+/// filter is true, false or an error). The insertion order is shuffled,
+/// so two stores give the same terms different ids.
+rdf::TripleStore random_store(common::Rng& rng, std::size_t triples) {
+  std::vector<rdf::Triple> all;
+  for (std::size_t i = 0; i < triples; ++i) {
+    Term o;
+    switch (rng.below(3)) {
+      case 0: o = node(rng.below(8)); break;
+      case 1: o = Term::integer(static_cast<long long>(rng.below(80))); break;
+      default: o = Term::literal("name " + std::to_string(rng.below(10)));
+    }
+    all.push_back({node(rng.below(8)), node(rng.below(4)), std::move(o)});
+  }
+  rng.shuffle(all);
+  rdf::TripleStore store;
+  for (const rdf::Triple& t : all) store.insert(t);
+  return store;
+}
+
+rdf::PatternTerm var(const char* name) { return rdf::Variable{name}; }
+
+/// Every shape the intake must bind like LocalEngine::match_pattern.
+std::vector<BgpPattern> intake_patterns() {
+  const ExprPtr below_40 =
+      Expr::binary(ExprKind::kLt, Expr::variable("o"),
+                   Expr::constant_term(Term::integer(40)));
+  const ExprPtr always_true = Expr::bound("o");
+  const ExprPtr always_false = Expr::unary(ExprKind::kNot, Expr::bound("o"));
+  const ExprPtr always_error = Expr::binary(
+      ExprKind::kAdd, Expr::constant_term(Term::iri("http://e/x")),
+      Expr::variable("o"));
+  return {
+      {{var("s"), var("p"), var("o")}, nullptr},            // ?s ?p ?o
+      {{var("x"), node(1), var("x")}, nullptr},             // ?x p ?x
+      {{var("x"), var("x"), var("o")}, nullptr},            // ?x ?x ?o
+      {{var("x"), var("x"), var("x")}, nullptr},            // ?x ?x ?x
+      {{node(2), node(1), node(3)}, nullptr},               // fully bound
+      {{node(2), var("p"), var("o")}, nullptr},
+      {{var("s"), node(0), var("o")}, nullptr},
+      {{var("s"), var("p"), node(5)}, nullptr},
+      {{var("s"), Term::iri("http://absent"), var("o")}, nullptr},
+      {{var("s"), var("p"), var("o")}, below_40},           // true/false/error
+      {{var("s"), node(2), var("o")}, always_true},
+      {{var("s"), var("p"), var("o")}, always_false},
+      {{var("s"), node(3), var("o")}, always_error},
+  };
+}
+
+/// Feed the same stores to the id intake and, decoded by LocalEngine, to
+/// the string intake; the two must agree after every hop.
+void expect_intakes_agree(const std::vector<rdf::TripleStore>& stores,
+                          const BgpPattern& p, const SolutionSet* carry,
+                          const std::string& where) {
+  ChainAccumulator ids;
+  ChainAccumulator strings;
+  if (carry != nullptr) {
+    ids.set_carry(*carry);
+    strings.set_carry(*carry);
+  }
+  for (std::size_t hop = 0; hop < stores.size(); ++hop) {
+    ids.add(stores[hop], p);
+    strings.add(LocalEngine(stores[hop]).match_pattern(p));
+    expect_matches(ids, strings.materialize(),
+                   where + " " + p.to_string() + " hop " +
+                       std::to_string(hop));
+    EXPECT_EQ(ids.byte_size(), strings.byte_size());
+    EXPECT_EQ(net::wire::charged_bytes(ids),
+              net::wire::charged_bytes(strings));
+  }
+}
+
+TEST(ChainAccumulatorIdIntake, MatchesStringIntakeAfterEveryHop) {
+  common::Rng rng(0xACC5);
+  std::size_t filtered_out = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    std::vector<rdf::TripleStore> stores;
+    const std::size_t hops = rng.between(1, 5);
+    for (std::size_t h = 0; h < hops; ++h) {
+      stores.push_back(random_store(rng, rng.below(60)));
+    }
+    for (const BgpPattern& p : intake_patterns()) {
+      expect_intakes_agree(stores, p, nullptr,
+                           "trial " + std::to_string(trial));
+      if (p.pushed_filter != nullptr) {
+        BgpPattern unfiltered{p.pattern, nullptr};
+        for (const rdf::TripleStore& st : stores) {
+          filtered_out += LocalEngine(st).match_pattern(unfiltered).size() -
+                          LocalEngine(st).match_pattern(p).size();
+        }
+      }
+    }
+  }
+  EXPECT_GT(filtered_out, 0u);  // the filters really dropped rows
+}
+
+TEST(ChainAccumulatorIdIntake, CarryJoinMatchesStringIntake) {
+  common::Rng rng(0xACC6);
+  for (int trial = 0; trial < 12; ++trial) {
+    // The carry shares ?s and ?o with the patterns, leaves slots unbound
+    // and binds a variable of its own.
+    SolutionSet carry;
+    const std::size_t rows = rng.below(12);
+    for (std::size_t r = 0; r < rows; ++r) {
+      Binding b;
+      if (rng.chance(0.8)) b.set("s", node(rng.below(8)));
+      if (rng.chance(0.5)) b.set("o", node(rng.below(8)));
+      if (rng.chance(0.5)) {
+        b.set("z", Term::integer(static_cast<long long>(rng.below(3))));
+      }
+      carry.add(std::move(b));
+    }
+    std::vector<rdf::TripleStore> stores;
+    for (std::size_t h = 0; h < 3; ++h) {
+      stores.push_back(random_store(rng, 10 + rng.below(40)));
+    }
+    for (const BgpPattern& p : intake_patterns()) {
+      expect_intakes_agree(stores, p, &carry,
+                           "trial " + std::to_string(trial));
+    }
+  }
+}
+
+TEST(ChainAccumulatorIdIntake, EmptyStoreAddsNothing) {
+  const rdf::TripleStore empty;
+  common::Rng rng(0xACC7);
+  const std::vector<rdf::TripleStore> stores = {
+      rdf::TripleStore{}, random_store(rng, 30), rdf::TripleStore{}};
+  for (const BgpPattern& p : intake_patterns()) {
+    ChainAccumulator acc;
+    acc.add(empty, p);
+    expect_matches(acc, SolutionSet{}, "empty store " + p.to_string());
+    expect_intakes_agree(stores, p, nullptr, "empty between");
+  }
+}
+
+TEST(ChainAccumulatorIdIntake, StoresWithDifferentIdsMergeByTerm) {
+  // The same triples inserted in opposite orders: every term has another
+  // id in the second store, and the merge still sees one set of rows.
+  std::vector<rdf::Triple> triples;
+  for (std::uint64_t k = 0; k < 6; ++k) {
+    triples.push_back({node(k), node(1), node((k + 1) % 6)});
+  }
+  rdf::TripleStore forward;
+  for (const rdf::Triple& t : triples) forward.insert(t);
+  rdf::TripleStore backward;
+  backward.insert({node(9), node(9), Term::literal("only here")});
+  for (std::size_t k = triples.size(); k-- > 0;) backward.insert(triples[k]);
+  ASSERT_NE(forward.dictionary().find(node(0)),
+            backward.dictionary().find(node(0)));
+
+  const BgpPattern p{{var("s"), var("p"), var("o")}, nullptr};
+  expect_intakes_agree({forward, backward}, p, nullptr, "reordered ids");
+  ChainAccumulator acc;
+  acc.add(forward, p);
+  acc.add(backward, p);
+  EXPECT_EQ(acc.parts().rows, triples.size() + 1);
+}
+
+TEST(ChainAccumulatorIdIntake, ScatterLegPricesItsMatchesExactly) {
+  // A scatter leg prices its ship from its own accumulator: one store's
+  // matches of one pattern are duplicate-free, so that is exactly the
+  // charge of the decoded set.
+  common::Rng rng(0xACC8);
+  for (int trial = 0; trial < 20; ++trial) {
+    const rdf::TripleStore store = random_store(rng, rng.below(70));
+    for (const BgpPattern& p : intake_patterns()) {
+      ChainAccumulator leg;
+      leg.add(store, p);
+      const SolutionSet matches = LocalEngine(store).match_pattern(p);
+      const std::string where =
+          "trial " + std::to_string(trial) + " " + p.to_string();
+      EXPECT_EQ(leg.parts().rows, matches.size()) << where;
+      EXPECT_EQ(net::wire::charged_bytes(leg),
+                net::wire::charged_bytes(matches))
+          << where;
+      EXPECT_EQ(leg.byte_size(), matches.byte_size()) << where;
+    }
+  }
 }
 
 TEST(CanonicalParts, SizeMatchesEncodingWithDuplicates) {

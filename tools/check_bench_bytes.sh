@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Regression gate for the throughput sweep.
+# Regression gate for a deterministic simulated bench series.
 #
-# Compares a freshly emitted BENCH_throughput.json (argument, or
-# build/BENCH_throughput.json by default) against the committed baseline
-# bench/baselines/BENCH_throughput.json. Three checks:
+# Compares a freshly emitted series (argument, or build/<baseline file name>
+# by default) against a committed baseline: --baseline PATH, by default
+# bench/baselines/BENCH_throughput.json (the throughput sweep). The
+# primitive-strategy sweep is gated against bench/baselines/
+# BENCH_primitive.json the same way. Three checks:
 #   - every baseline record must be present in the fresh series, so a sweep
 #     that dies part way through fails instead of passing on what it wrote;
 #   - the simulated counters of every record are deterministic and must
@@ -24,32 +26,51 @@
 # phase comparison only the records whose fresh `phases` list is empty;
 # every other field, and every traced record's phases, stays exact.
 #
-# Usage: check_bench_bytes.sh [--untraced-phases] [FRESH_JSON]
+# Usage: check_bench_bytes.sh [--untraced-phases] [--baseline PATH]
+#                             [FRESH_JSON]
 # Exit codes: 0 all checks pass, 1 regression, 2 usage error.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
+usage="usage: $0 [--untraced-phases] [--baseline PATH] [FRESH_JSON]"
 untraced_phases=0
-if [ "${1:-}" = "--untraced-phases" ]; then
-  untraced_phases=1
-  shift
-fi
-case "${1:-}" in
-  -*)
-    echo "usage: $0 [--untraced-phases] [FRESH_JSON]" >&2
-    exit 2
-    ;;
-esac
-
 baseline=bench/baselines/BENCH_throughput.json
-fresh="${1:-${AHSW_BUILD_DIR:-build}/BENCH_throughput.json}"
+while [ $# -gt 0 ]; do
+  case "$1" in
+    --untraced-phases)
+      untraced_phases=1
+      shift
+      ;;
+    --baseline)
+      if [ $# -lt 2 ]; then
+        echo "${usage}" >&2
+        exit 2
+      fi
+      baseline="$2"
+      shift 2
+      ;;
+    -*)
+      echo "${usage}" >&2
+      exit 2
+      ;;
+    *)
+      break
+      ;;
+  esac
+done
+if [ $# -gt 1 ]; then
+  echo "${usage}" >&2
+  exit 2
+fi
+
+fresh="${1:-${AHSW_BUILD_DIR:-build}/$(basename "${baseline}")}"
 
 if [ ! -f "${baseline}" ]; then
   echo "error: committed baseline ${baseline} missing" >&2
   exit 2
 fi
 if [ ! -f "${fresh}" ]; then
-  echo "error: fresh series ${fresh} missing (run bench_throughput first," >&2
+  echo "error: fresh series ${fresh} missing (run the bench binary first," >&2
   echo "or pass the JSON path as the first argument)" >&2
   exit 2
 fi
@@ -143,14 +164,13 @@ if missing:
 if drifted:
     print("error: simulated counters differ from the committed baseline; "
           "they are deterministic, so any drift is a behaviour change — if "
-          "it is intentional, re-baseline "
-          "bench/baselines/BENCH_throughput.json in the same commit",
+          f"it is intentional, re-baseline {sys.argv[1]} in the same commit",
           file=sys.stderr)
 if failed:
     print("error: wire payload bytes regressed beyond "
           f"{tolerance:.0%} of the committed baseline; if the growth is "
-          "intentional, re-baseline bench/baselines/BENCH_throughput.json "
-          "in the same commit", file=sys.stderr)
+          f"intentional, re-baseline {sys.argv[1]} in the same commit",
+          file=sys.stderr)
 if failed or missing or drifted:
     sys.exit(1)
 print("wire payload bytes within tolerance of the committed baseline")
