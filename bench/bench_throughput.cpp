@@ -86,11 +86,11 @@ net::SimTime serial_sum(const std::vector<std::string>& queries) {
 /// the batch-wide network delta AND exact per-query attribution (the
 /// per-query traffic reports must sum to the delta, nothing lost, nothing
 /// double-charged). Corruption aborts: see benchutil::maybe_audit.
-void audit_batch(const obs::QueryTrace* trace, const net::TrafficStats& delta,
+void audit_batch(const obs::QueryTrace& trace, const net::TrafficStats& delta,
                  const dqp::BatchResult& r) {
   if (!benchutil::audit_flag()) return;
   check::AuditReport rep;
-  if (trace != nullptr) check::audit_conservation(*trace, delta, rep);
+  check::audit_conservation(trace, delta, rep);
   net::TrafficStats sum;
   for (const dqp::ExecutionReport& q : r.reports) {
     sum.accumulate(q.traffic);
@@ -121,11 +121,11 @@ void BM_Throughput_Batch(benchmark::State& state) {
   opts.service.service_ms = service_ms;
   // `--workers N` routes the batch through the parallel driver (byte-
   // identical simulated series, faster wall-clock). The parallel driver
-  // does not trace, so the span-based I5 audit only runs on the serial
-  // path; the per-query traffic attribution check runs either way.
+  // grafts its shard traces into the bound trace, so every worker count
+  // traces and runs the span-based I5 audit and the per-query traffic
+  // attribution check.
   opts.workers = benchutil::batch_workers();
-  const bool traced = opts.workers <= 1 || service_ms > 0;
-  if (traced) proc.set_trace(&trace);
+  proc.set_trace(&trace);
 
   char svc[16];
   std::snprintf(svc, sizeof svc, "%.1f", service_ms);
@@ -136,14 +136,12 @@ void BM_Throughput_Batch(benchmark::State& state) {
     const net::TrafficStats before = bed.network().stats();
     dqp::BatchResult r =
         proc.execute_batch(queries, make_initiators(bed, queries.size()), opts);
-    audit_batch(traced ? &trace : nullptr,
-                bed.network().stats().delta_since(before), r);
+    audit_batch(trace, bed.network().stats().delta_since(before), r);
 
     state.counters["makespan_ms"] = r.makespan;
     state.counters["serial_ms"] = serial;
     state.counters["speedup"] = serial / r.makespan;
-    benchutil::record_mean_json(state, name, r.reports,
-                                traced ? &trace : nullptr);
+    benchutil::record_mean_json(state, name, r.reports, &trace);
   }
   benchutil::maybe_audit(bed, "throughput/done");
 }

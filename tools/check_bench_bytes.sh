@@ -5,7 +5,8 @@
 # by default) against a committed baseline: --baseline PATH, by default
 # bench/baselines/BENCH_throughput.json (the throughput sweep). The
 # primitive-strategy sweep is gated against bench/baselines/
-# BENCH_primitive.json the same way. Three checks:
+# BENCH_primitive.json and the churn availability sweep against
+# bench/baselines/BENCH_churn.json the same way. Three checks:
 #   - every baseline record must be present in the fresh series, so a sweep
 #     that dies part way through fails instead of passing on what it wrote;
 #   - the simulated counters of every record are deterministic and must
@@ -20,27 +21,19 @@
 # started charging raw sizes again, or a plan, route or retry moved.
 # Re-baselining requires a deliberate commit of the new JSON.
 #
-# The baseline is a serial (traced) sweep. `bench_throughput --workers N`
-# with N > 1 does not trace its service_ms=0 records, so their `phases` are
-# empty; pass --untraced-phases to gate such a series. It exempts from the
-# phase comparison only the records whose fresh `phases` list is empty;
-# every other field, and every traced record's phases, stays exact.
+# Every series is gated the same way, whatever produced it: a
+# `bench_throughput --workers N` run traces like the serial one, so its
+# phases are compared too.
 #
-# Usage: check_bench_bytes.sh [--untraced-phases] [--baseline PATH]
-#                             [FRESH_JSON]
+# Usage: check_bench_bytes.sh [--baseline PATH] [FRESH_JSON]
 # Exit codes: 0 all checks pass, 1 regression, 2 usage error.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-usage="usage: $0 [--untraced-phases] [--baseline PATH] [FRESH_JSON]"
-untraced_phases=0
+usage="usage: $0 [--baseline PATH] [FRESH_JSON]"
 baseline=bench/baselines/BENCH_throughput.json
 while [ $# -gt 0 ]; do
   case "$1" in
-    --untraced-phases)
-      untraced_phases=1
-      shift
-      ;;
     --baseline)
       if [ $# -lt 2 ]; then
         echo "${usage}" >&2
@@ -75,13 +68,12 @@ if [ ! -f "${fresh}" ]; then
   exit 2
 fi
 
-python3 - "${baseline}" "${fresh}" "${untraced_phases}" <<'PY'
+python3 - "${baseline}" "${fresh}" <<'PY'
 import json
 import os
 import sys
 
 tolerance = float(os.environ.get("AHSW_BENCH_TOLERANCE", "0.01"))
-untraced_phases = sys.argv[3] == "1"
 
 # Simulated counters that must match the baseline exactly.
 EXACT_FIELDS = ("queries", "messages", "bytes", "raw_bytes", "timeouts",
@@ -99,14 +91,13 @@ def flatten(prefix, value, view):
     else:
         view[prefix] = value
 
-def exact_view(record, with_phases):
+def exact_view(record):
     view = {}
     for field in EXACT_FIELDS:
         flatten(field, record.get(field), view)
-    if with_phases:
-        for phase in record.get("phases", []):
-            for field in PHASE_FIELDS:
-                view[f"phases[{phase['phase']}].{field}"] = phase.get(field)
+    for phase in record.get("phases", []):
+        for field in PHASE_FIELDS:
+            view[f"phases[{phase['phase']}].{field}"] = phase.get(field)
     return view
 
 def load(path):
@@ -143,9 +134,8 @@ for bench in sorted(fresh.keys() - base.keys()):
 
 drifted = False
 for bench in shared:
-    untraced = untraced_phases and not fresh[bench].get("phases")
-    want = exact_view(base[bench], not untraced)
-    got = exact_view(fresh[bench], not untraced)
+    want = exact_view(base[bench])
+    got = exact_view(fresh[bench])
     diffs = [k for k in sorted(want.keys() | got.keys())
              if want.get(k) != got.get(k)]
     for k in diffs:
@@ -153,8 +143,6 @@ for bench in shared:
               "DRIFT")
     if diffs:
         drifted = True
-    elif untraced:
-        print(f"{bench:34s} simulated counters exact (phases not traced)")
     else:
         print(f"{bench:34s} simulated counters exact")
 
