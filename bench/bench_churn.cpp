@@ -36,8 +36,8 @@ double completeness(workload::Testbed& bed,
   sparql::SolutionSet got = sparql::deduplicated(dist.solutions);
   if (reference.empty()) return 1.0;
   std::size_t hit = 0;
-  for (const sparql::Binding& b : reference.rows()) {
-    for (const sparql::Binding& g : got.rows()) {
+  for (const sparql::Binding& b : reference.bindings()) {
+    for (const sparql::Binding& g : got.bindings()) {
       if (b == g) {
         ++hit;
         break;

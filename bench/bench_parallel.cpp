@@ -119,7 +119,8 @@ void check_identity(const dqp::BatchResult& r, const net::TrafficStats& delta) {
   if (r.results.size() != base.result.results.size()) die("result count", 0);
   if (r.makespan != base.result.makespan) die("makespan", 0);
   for (std::size_t i = 0; i < r.results.size(); ++i) {
-    if (r.results[i].solutions.rows() != base.result.results[i].solutions.rows())
+    if (r.results[i].solutions.bindings() !=
+        base.result.results[i].solutions.bindings())
       die("solution rows", i);
     if (r.results[i].ask_answer != base.result.results[i].ask_answer)
       die("ask answer", i);

@@ -106,7 +106,7 @@ int main() {
     dqp::ExecutionReport rep;
     sparql::QueryResult result = processor.execute(query, d2, &rep);
     std::cout << "  solutions (" << result.solutions.size() << "):\n";
-    for (const sparql::Binding& b : result.solutions.rows()) {
+    for (const sparql::Binding& b : result.solutions.bindings()) {
       std::cout << "    " << b.to_string() << "\n";
     }
     std::cout << "  cost: " << rep.traffic.messages << " msgs, "

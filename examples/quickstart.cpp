@@ -58,7 +58,7 @@ int main() {
   sparql::QueryResult result = processor.execute(query, alice_pc, &report);
 
   std::cout << "Who do people know, and what are they called?\n";
-  for (const sparql::Binding& row : result.solutions.rows()) {
+  for (const sparql::Binding& row : result.solutions.bindings()) {
     std::cout << "  " << row.get("who")->to_string() << "  "
               << row.get("name")->to_string() << "\n";
   }

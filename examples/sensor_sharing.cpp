@@ -62,7 +62,7 @@ int main() {
     if (push) {
       std::cout << "\nSample rows:\n";
       std::size_t shown = 0;
-      for (const sparql::Binding& b : result.solutions.rows()) {
+      for (const sparql::Binding& b : result.solutions.bindings()) {
         if (shown++ == 5) break;
         std::cout << "  " << b.to_string() << "\n";
       }
@@ -83,7 +83,7 @@ int main() {
   dqp::ExecutionReport rep;
   r = proc.execute(optional_query, bed.storage_addrs().front(), &rep);
   std::size_t with_room = 0;
-  for (const sparql::Binding& b : r.solutions.rows()) {
+  for (const sparql::Binding& b : r.solutions.bindings()) {
     if (b.bound("room")) ++with_room;
   }
   std::cout << "\nOPTIONAL query: " << r.solutions.size()

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 
 #include "common/varint.hpp"
 
@@ -44,18 +45,22 @@ void encode_string(std::string& out, std::string_view s) {
   out.append(s);
 }
 
-/// Front-coded dictionary section: kind, shared-prefix length against the
+/// One front-coded term: kind, shared-prefix length `lcp` against the
 /// previous term's lexical, suffix, datatype, language tag.
+void encode_term(std::string& out, const rdf::Term& t, std::size_t lcp) {
+  out.push_back(static_cast<char>(t.kind()));
+  put_varint(out, lcp);
+  encode_string(out, std::string_view(t.lexical()).substr(lcp));
+  encode_string(out, t.datatype());
+  encode_string(out, t.lang());
+}
+
+/// Front-coded dictionary section.
 void encode_dictionary(std::string& out, const Dictionary& dict) {
   put_varint(out, dict.terms.size());
   std::string_view prev;
   for (const rdf::Term* t : dict.terms) {
-    out.push_back(static_cast<char>(t->kind()));
-    const std::size_t lcp = common_prefix(prev, t->lexical());
-    put_varint(out, lcp);
-    encode_string(out, std::string_view(t->lexical()).substr(lcp));
-    encode_string(out, t->datatype());
-    encode_string(out, t->lang());
+    encode_term(out, *t, common_prefix(prev, t->lexical()));
     prev = t->lexical();
   }
 }
@@ -160,30 +165,29 @@ void encode_row_ids(std::string& out, const std::vector<std::uint32_t>& ids) {
 }  // namespace
 
 std::string encode(const sparql::SolutionSet& s) {
-  // Canonical schema: the sorted union of variables bound in any row.
-  std::vector<std::string> vars = sparql::variables_of(s);
-  Dictionary dict;
-  for (const sparql::Binding& b : s.rows()) {
-    for (const auto& [name, term] : b.slots()) dict.collect(term);
-  }
-  dict.seal();
-
+  // The canonical parts are the payload: sorted schema, the distinct terms
+  // in Term order with their front-coding prefixes, and per-row ranks.
+  const sparql::CanonicalParts p = sparql::canonical_parts(s);
   std::string out;
-  put_varint(out, vars.size());
-  for (const std::string& v : vars) encode_string(out, v);
-  encode_dictionary(out, dict);
+  put_varint(out, p.vars.size());
+  for (const std::string& v : p.vars) encode_string(out, v);
+  put_varint(out, p.sorted.size());
+  for (std::size_t i = 0; i < p.sorted.size(); ++i) {
+    encode_term(out, p.dict->term(p.sorted[i]), p.lcp[i]);
+  }
 
-  put_varint(out, s.size());
-  const std::size_t bitmap_bytes = (vars.size() + 7) / 8;
+  put_varint(out, p.rows);
+  const std::size_t width = p.vars.size();
+  const std::size_t bitmap_bytes = (width + 7) / 8;
   std::vector<std::uint32_t> ids;
-  for (const sparql::Binding& b : s.rows()) {
+  for (std::size_t r = 0; r < p.rows; ++r) {
+    const rdf::TermId* row = p.cells.data() + r * width;
     std::string bitmap(bitmap_bytes, '\0');
     ids.clear();
-    for (std::size_t i = 0; i < vars.size(); ++i) {
-      if (const rdf::Term* t = b.get(vars[i])) {
-        bitmap[i / 8] = static_cast<char>(bitmap[i / 8] | (1 << (i % 8)));
-        ids.push_back(dict.id_of(*t));
-      }
+    for (std::size_t i = 0; i < width; ++i) {
+      if (row[i] == rdf::kInvalidTermId) continue;
+      bitmap[i / 8] = static_cast<char>(bitmap[i / 8] | (1 << (i % 8)));
+      ids.push_back(p.rank[row[i]]);
     }
     out.append(bitmap);
     encode_row_ids(out, ids);
@@ -196,8 +200,10 @@ bool decode(std::string_view in, sparql::SolutionSet& out) {
   std::uint64_t nvars = 0;
   if (!get_count(in, pos, kMinVarBytes, nvars)) return false;
   std::vector<std::string> vars(nvars);
-  for (std::string& v : vars) {
-    if (!decode_string(in, pos, v)) return false;
+  for (std::size_t i = 0; i < vars.size(); ++i) {
+    if (!decode_string(in, pos, vars[i])) return false;
+    // The schema is sorted and duplicate-free, as encode() writes it.
+    if (i > 0 && !(vars[i - 1] < vars[i])) return false;
   }
   std::vector<rdf::Term> terms;
   if (!decode_dictionary(in, pos, terms)) return false;
@@ -208,29 +214,39 @@ bool decode(std::string_view in, sparql::SolutionSet& out) {
                           : get_count(in, pos, bitmap_bytes, nrows))) {
     return false;
   }
-  sparql::SolutionSet result;
+  // Payload term index -> id in the set's dictionary, interned on first
+  // use, so terms no row binds stay out of it.
+  auto dict = std::make_shared<rdf::TermDictionary>();
+  std::vector<rdf::TermId> id_of(terms.size(), rdf::kInvalidTermId);
+  const std::size_t width = vars.size();
+  std::vector<rdf::TermId> cells(static_cast<std::size_t>(nrows) * width,
+                                 rdf::kInvalidTermId);
   for (std::uint64_t r = 0; r < nrows; ++r) {
     if (bitmap_bytes > in.size() - pos) return false;
     std::string_view bitmap = in.substr(pos, bitmap_bytes);
     pos += bitmap_bytes;
-    sparql::Binding b;
+    rdf::TermId* row = cells.data() + r * width;
     std::uint64_t prev = 0;
     bool first = true;
-    for (std::uint64_t i = 0; i < nvars; ++i) {
+    for (std::size_t i = 0; i < width; ++i) {
       if ((static_cast<std::uint8_t>(bitmap[i / 8]) & (1 << (i % 8))) == 0) {
         continue;
       }
       std::uint64_t raw = 0;
       if (!get_varint(in, pos, raw)) return false;
-      const std::uint64_t id = first ? raw : next_id(prev, raw);
+      const std::uint64_t idx = first ? raw : next_id(prev, raw);
       first = false;
-      if (id >= terms.size()) return false;
-      prev = id;
-      b.set(vars[i], terms[static_cast<std::size_t>(id)]);
+      if (idx >= terms.size()) return false;
+      prev = idx;
+      rdf::TermId& id = id_of[static_cast<std::size_t>(idx)];
+      if (id == rdf::kInvalidTermId) {
+        id = dict->intern(terms[static_cast<std::size_t>(idx)]);
+      }
+      row[i] = id;
     }
-    result.add(std::move(b));
   }
-  out = std::move(result);
+  out = sparql::SolutionSet(std::move(dict), std::move(vars),
+                            std::move(cells), static_cast<std::size_t>(nrows));
   return true;
 }
 
@@ -295,7 +311,7 @@ std::size_t encoded_size(const sparql::CanonicalParts& p) {
 
   n += varint_size(p.sorted.size());
   for (std::size_t i = 0; i < p.sorted.size(); ++i) {
-    const rdf::Term& t = p.dict.term(p.sorted[i]);
+    const rdf::Term& t = p.dict->term(p.sorted[i]);
     n += 1 + varint_size(p.lcp[i]) +
          string_size(t.lexical().size() - p.lcp[i]) +
          string_size(t.datatype().size()) + string_size(t.lang().size());

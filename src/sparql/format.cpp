@@ -44,7 +44,7 @@ std::string to_table(const QueryResult& result) {
 
   std::vector<std::vector<std::string>> cells;
   cells.reserve(result.solutions.size());
-  for (const Binding& b : result.solutions.rows()) {
+  for (const Binding& b : result.solutions.bindings()) {
     std::vector<std::string> row;
     for (std::size_t i = 0; i < columns.size(); ++i) {
       const rdf::Term* t = b.get(columns[i]);

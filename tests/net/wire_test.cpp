@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -64,7 +65,71 @@ TEST(WireCodec, SolutionSetsRoundTrip) {
     ASSERT_TRUE(decode(payload, back)) << "trial " << trial;
     // The dictionary is canonical but rows keep their order, so decode is
     // an exact inverse.
-    EXPECT_EQ(back.rows(), s.rows()) << "trial " << trial;
+    EXPECT_EQ(back.bindings(), s.bindings()) << "trial " << trial;
+  }
+}
+
+/// The payload format written out over Binding rows: a second encoder that
+/// shares nothing with encode() but the varint helpers, so the columnar
+/// writer and the size routine are held to the row form's bytes.
+std::string row_encode(const std::vector<Binding>& rows) {
+  std::set<std::string> var_set;
+  std::set<Term> term_set;
+  for (const Binding& b : rows) {
+    for (const auto& [name, term] : b.slots()) {
+      var_set.insert(name);
+      term_set.insert(term);
+    }
+  }
+  const std::vector<std::string> vars(var_set.begin(), var_set.end());
+  const std::vector<Term> terms(term_set.begin(), term_set.end());
+  auto put_string = [](std::string& out, std::string_view v) {
+    common::put_varint(out, v.size());
+    out.append(v);
+  };
+  std::string out;
+  common::put_varint(out, vars.size());
+  for (const std::string& v : vars) put_string(out, v);
+  common::put_varint(out, terms.size());
+  std::string_view prev;
+  for (const Term& t : terms) {
+    const std::size_t lcp = common::common_prefix(prev, t.lexical());
+    out.push_back(static_cast<char>(t.kind()));
+    common::put_varint(out, lcp);
+    put_string(out, std::string_view(t.lexical()).substr(lcp));
+    put_string(out, t.datatype());
+    put_string(out, t.lang());
+    prev = t.lexical();
+  }
+  common::put_varint(out, rows.size());
+  for (const Binding& b : rows) {
+    std::string bitmap((vars.size() + 7) / 8, '\0');
+    std::vector<std::int64_t> ids;
+    for (std::size_t i = 0; i < vars.size(); ++i) {
+      if (const Term* t = b.get(vars[i])) {
+        bitmap[i / 8] = static_cast<char>(bitmap[i / 8] | (1 << (i % 8)));
+        ids.push_back(std::lower_bound(terms.begin(), terms.end(), *t) -
+                      terms.begin());
+      }
+    }
+    out.append(bitmap);
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      common::put_varint(out, k == 0 ? static_cast<std::uint64_t>(ids[0])
+                                     : common::zigzag(ids[k] - ids[k - 1]));
+    }
+  }
+  return out;
+}
+
+TEST(WireCodec, ColumnarEncodingEqualsRowEncoding) {
+  common::Rng rng(4321);
+  for (int trial = 0; trial < 100; ++trial) {
+    SolutionSet s = random_set(rng, 40);
+    if (rng.chance(0.3)) s.add(Binding{});  // a row binding nothing
+    const std::string expected = row_encode(s.bindings());
+    ASSERT_EQ(encode(s), expected) << "trial " << trial;
+    EXPECT_EQ(encoded_size(s), expected.size()) << "trial " << trial;
+    EXPECT_EQ(charged_bytes(s), expected.size()) << "trial " << trial;
   }
 }
 
@@ -88,7 +153,7 @@ TEST(WireCodec, EncodedSizeIsRowOrderIndependent) {
   for (int trial = 0; trial < 20; ++trial) {
     SolutionSet s = random_set(rng);
     std::size_t size = encoded_size(s);
-    std::vector<Binding> rows = s.rows();
+    std::vector<Binding> rows = s.bindings();
     rng.shuffle(rows);
     SolutionSet reordered{std::move(rows)};
     EXPECT_EQ(encoded_size(reordered), size) << "trial " << trial;
@@ -134,16 +199,16 @@ TEST(WireCodec, ChargedBytesSurvivesNormalize) {
 }
 
 // Satellite regression for the cached-size drift bug: after an arbitrary
-// interleaving of append / mutate-in-place / clear-and-refill, both the raw
-// byte_size() cache and the wire-size memo must equal a from-scratch
-// recomputation over the same rows.
+// interleaving of append, projection, row selection, slicing and
+// normalization, both the raw byte_size() cache and the wire-size memo must
+// equal a from-scratch recomputation over the same rows.
 TEST(WireCodec, CachedSizesNeverDriftUnderRandomMutation) {
   common::Rng rng(0xD01F);
   for (int trial = 0; trial < 40; ++trial) {
     SolutionSet s;
     int steps = static_cast<int>(rng.between(1, 25));
     for (int step = 0; step < steps; ++step) {
-      switch (rng.below(4)) {
+      switch (rng.below(6)) {
         case 0: {  // append
           Binding b;
           b.set("v" + std::to_string(rng.below(4)), random_term(rng));
@@ -151,20 +216,30 @@ TEST(WireCodec, CachedSizesNeverDriftUnderRandomMutation) {
           s.add(std::move(b));
           break;
         }
-        case 1: {  // mutate a row in place through mutable rows()
-          if (s.empty()) break;
-          auto& rows = s.rows();
-          std::size_t i = rng.below(rows.size());
-          rows[i].set("m", random_term(rng));
+        case 1: {  // project one variable away
+          if (s.width() == 0) break;
+          std::vector<std::string> keep = s.vars();
+          keep.erase(keep.begin() +
+                     static_cast<std::ptrdiff_t>(rng.below(keep.size())));
+          s.project(keep);
           break;
         }
         case 2: {  // drop a row
           if (s.empty()) break;
-          auto& rows = s.rows();
-          rows.erase(rows.begin() +
-                     static_cast<std::ptrdiff_t>(rng.below(rows.size())));
+          std::vector<std::size_t> rows;
+          const std::size_t drop = rng.below(s.size());
+          for (std::size_t r = 0; r < s.size(); ++r) {
+            if (r != drop) rows.push_back(r);
+          }
+          s.keep_rows(rows);
           break;
         }
+        case 3:  // OFFSET 1 LIMIT 3
+          s.slice(1, 3);
+          break;
+        case 4:
+          s.normalize();
+          break;
         default: {  // interleave size queries so caches get populated
           (void)s.byte_size();
           (void)charged_bytes(s);
@@ -172,7 +247,7 @@ TEST(WireCodec, CachedSizesNeverDriftUnderRandomMutation) {
         }
       }
       // Recompute both sizes on a fresh copy of the same rows.
-      SolutionSet fresh{std::vector<Binding>(s.rows())};
+      SolutionSet fresh{s.bindings()};
       ASSERT_EQ(s.byte_size(), fresh.byte_size())
           << "raw cache drifted at trial " << trial << " step " << step;
       ASSERT_EQ(charged_bytes(s), encoded_size(fresh))
@@ -180,6 +255,8 @@ TEST(WireCodec, CachedSizesNeverDriftUnderRandomMutation) {
       // The size-only routine never strays from the writer.
       ASSERT_EQ(encoded_size(fresh), encode(fresh).size())
           << "size routine drifted at trial " << trial << " step " << step;
+      ASSERT_EQ(encode(s), encode(fresh))
+          << "encoding drifted at trial " << trial << " step " << step;
     }
   }
 }

@@ -1,17 +1,17 @@
 // Property suite for the id-space merge accumulator: after every add, the
 // accumulated set must be exactly what the whole-set rebuild it replaces
 // computes — rows, raw size and wire size. The reference shares no code
-// with the accumulator: DISTINCT is normalize() + std::unique over Binding
-// rows, written out here because deduplicated() itself runs on the
-// accumulator, and the carry join is the hash join of sparql::join, which
-// does not use the accumulator's carry probe. The id intake (rows read from
-// a provider store) is held to the string intake fed with
-// LocalEngine::match_pattern of the same store.
+// with the accumulator: the provider's matches come from
+// LocalEngine::match_pattern, DISTINCT is std::sort + std::unique over
+// decoded Binding rows, written out here because deduplicated() runs on
+// the same id comparator, and the carry join is the hash join of
+// sparql::join, which does not use the accumulator's carry probe.
 #include "sparql/accumulator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,69 +42,70 @@ Term random_term(common::Rng& rng) {
   }
 }
 
-Binding random_row(common::Rng& rng, const std::vector<std::string>& vars,
-                   double bound) {
-  Binding b;
-  for (const std::string& v : vars) {
-    if (rng.chance(bound)) b.set(v, random_term(rng));
-  }
-  return b;
+Term node(std::uint64_t k) {
+  return Term::iri("http://example.org/n/" + std::to_string(k));
 }
 
-/// A contribution: fresh rows, some with unbound slots, plus repeats of
-/// rows seen on earlier hops and within this one.
-SolutionSet random_contribution(common::Rng& rng,
-                                const std::vector<std::string>& vars,
-                                std::vector<Binding>& seen) {
-  SolutionSet s;
-  const std::size_t rows = rng.below(25);
-  for (std::size_t r = 0; r < rows; ++r) {
-    if (!seen.empty() && rng.chance(0.3)) {
-      s.add(seen[rng.below(seen.size())]);
-      continue;
-    }
-    Binding b = random_row(rng, vars, 0.85);
-    seen.push_back(b);
-    s.add(std::move(b));
+rdf::PatternTerm var(const char* name) { return rdf::Variable{name}; }
+
+/// A provider's store for one hop: subjects and predicates from small
+/// pools and objects from random_term, so rows repeat across hops (the
+/// merge must drop them) while the distinct terms keep growing.
+rdf::TripleStore hop_store(common::Rng& rng) {
+  rdf::TripleStore store;
+  const std::size_t triples = rng.below(25);
+  for (std::size_t i = 0; i < triples; ++i) {
+    store.insert({node(rng.below(12)), node(100 + rng.below(2)),
+                  random_term(rng)});
   }
-  return s;
+  return store;
 }
 
 /// Canonically sorted, duplicates removed: the set the accumulator must
-/// hold, computed without it.
-SolutionSet distinct_rows(SolutionSet s) {
-  s.normalize();
-  auto& rows = s.rows();
+/// hold, computed on decoded rows.
+SolutionSet distinct_rows(const SolutionSet& s) {
+  std::vector<Binding> rows = s.bindings();
+  std::sort(rows.begin(), rows.end());
   rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-  return s;
+  return SolutionSet(rows);
 }
 
 /// The accumulator against the reference after one add.
 void expect_matches(const ChainAccumulator& acc, const SolutionSet& expected,
                     const std::string& where) {
   SolutionSet got = acc.materialize();
-  ASSERT_EQ(got.rows(), expected.rows()) << where;
+  ASSERT_EQ(got.bindings(), expected.bindings()) << where;
   EXPECT_EQ(acc.parts().rows, expected.size()) << where;
   EXPECT_EQ(acc.byte_size(), expected.byte_size()) << where;
+  EXPECT_EQ(got.byte_size(), expected.byte_size()) << where;
   const std::size_t wire = net::wire::charged_bytes(acc);
   EXPECT_EQ(wire, net::wire::encode(expected).size()) << where;
   EXPECT_EQ(wire, net::wire::encoded_size(expected)) << where;
   EXPECT_EQ(net::wire::encoded_size(acc.parts()), wire) << where;
+  EXPECT_EQ(net::wire::encode(got), net::wire::encode(expected)) << where;
+}
+
+/// Merge `store`'s matches of `p` into both the accumulator and the
+/// reference, joined with `carry` when one is given.
+void add_hop(ChainAccumulator& acc, SolutionSet& reference,
+             const rdf::TripleStore& store, const BgpPattern& p,
+             const SolutionSet* carry) {
+  acc.add(store, p);
+  const SolutionSet matches = LocalEngine(store).match_pattern(p);
+  reference = distinct_rows(
+      set_union(reference, carry != nullptr ? join(*carry, matches) : matches));
 }
 
 TEST(ChainAccumulator, MatchesDeduplicatedUnionAfterEveryAdd) {
   common::Rng rng(0xACC1);
-  const std::vector<std::string> vars = {"a", "name", "x", "y"};
+  const BgpPattern p{{var("a"), var("name"), var("x")}, nullptr};
   std::size_t most_terms = 0;
   for (int trial = 0; trial < 30; ++trial) {
     ChainAccumulator acc;
     SolutionSet reference;
-    std::vector<Binding> seen;
     const int hops = static_cast<int>(rng.between(1, 12));
     for (int hop = 0; hop < hops; ++hop) {
-      SolutionSet contribution = random_contribution(rng, vars, seen);
-      acc.add(contribution);
-      reference = distinct_rows(set_union(reference, contribution));
+      add_hop(acc, reference, hop_store(rng), p, nullptr);
       expect_matches(acc, reference,
                      "trial " + std::to_string(trial) + " hop " +
                          std::to_string(hop));
@@ -120,25 +121,31 @@ TEST(ChainAccumulator, SchemaGrowsWhenLaterRowsBindNewVariables) {
   for (int trial = 0; trial < 20; ++trial) {
     ChainAccumulator acc;
     SolutionSet reference;
-    std::vector<Binding> seen;
-    std::vector<std::string> vars;
+    const char* previous = nullptr;
     for (const char* v : {"m", "c", "x", "a", "z"}) {
-      // Each hop may introduce a variable sorting before or after the
-      // existing ones, forcing the columns to be re-laid.
-      vars.emplace_back(v);
-      SolutionSet contribution = random_contribution(rng, vars, seen);
-      acc.add(contribution);
-      reference = distinct_rows(set_union(reference, contribution));
+      // Each hop binds a variable sorting before or after the existing
+      // ones, forcing the columns to be re-laid.
+      const BgpPattern p{
+          {var(v), node(100), previous != nullptr ? var(previous) : var(v)},
+          nullptr};
+      add_hop(acc, reference, hop_store(rng), p, nullptr);
       expect_matches(acc, reference,
                      "trial " + std::to_string(trial) + " var " + v);
+      previous = v;
     }
   }
 }
 
 TEST(ChainAccumulator, CarryJoinMatchesJoinThenMerge) {
   common::Rng rng(0xACC3);
+  const std::vector<BgpPattern> patterns = {
+      {{var("x"), node(0), var("y")}, nullptr},
+      {{var("y"), node(0), var("z")}, nullptr},
+      {{var("x"), node(1), var("z")}, nullptr},
+      {{var("z"), node(1), var("q")}, nullptr},
+  };
   for (int trial = 0; trial < 40; ++trial) {
-    // Carry and local rows share some variables; both sides leave some
+    // Carry and local rows share some variables; the carry leaves some
     // slots unbound (the partial-row paths of the hash join), and a small
     // term pool makes matches common.
     SolutionSet carry;
@@ -146,32 +153,23 @@ TEST(ChainAccumulator, CarryJoinMatchesJoinThenMerge) {
     for (std::size_t r = 0; r < carry_rows; ++r) {
       Binding b;
       for (const char* v : {"p", "x", "y"}) {
-        if (rng.chance(0.8)) {
-          b.set(v, Term::iri("http://e/" + std::to_string(rng.below(6))));
-        }
+        if (rng.chance(0.8)) b.set(v, node(rng.below(6)));
       }
-      carry.add(std::move(b));
+      carry.add(b);
     }
+    const BgpPattern& p = patterns[rng.below(patterns.size())];
     ChainAccumulator acc;
     acc.set_carry(carry);
     SolutionSet reference;
     const int hops = static_cast<int>(rng.between(1, 8));
     for (int hop = 0; hop < hops; ++hop) {
-      SolutionSet local;
+      rdf::TripleStore local;
       const std::size_t rows = rng.below(12);
-      const bool bind_all = rng.chance(0.5);
       for (std::size_t r = 0; r < rows; ++r) {
-        Binding b;
-        for (const char* v : {"x", "y", "z"}) {
-          if (bind_all || rng.chance(0.7)) {
-            b.set(v, Term::iri("http://e/" + std::to_string(rng.below(6))));
-          }
-        }
-        local.add(std::move(b));
+        local.insert({node(rng.below(6)), node(rng.below(2)),
+                      node(rng.below(6))});
       }
-      acc.add(local);
-      SolutionSet contribution = join(carry, local);
-      reference = distinct_rows(set_union(reference, contribution));
+      add_hop(acc, reference, local, p, &carry);
       expect_matches(acc, reference,
                      "trial " + std::to_string(trial) + " hop " +
                          std::to_string(hop));
@@ -184,42 +182,69 @@ TEST(ChainAccumulator, CarryWithoutSharedVariablesIsACrossProduct) {
   for (int i = 0; i < 3; ++i) {
     Binding b;
     b.set("c", Term::integer(i));
-    carry.add(std::move(b));
+    carry.add(b);
   }
-  SolutionSet local;
+  rdf::TripleStore local;
   for (int i = 0; i < 4; ++i) {
-    Binding b;
-    b.set("l", Term::literal("v" + std::to_string(i % 2)));
-    local.add(std::move(b));
+    local.insert({node(static_cast<std::uint64_t>(i)), node(100),
+                  Term::literal("v" + std::to_string(i % 2))});
   }
+  const BgpPattern p{{var("s"), node(100), var("l")}, nullptr};
   ChainAccumulator acc;
   acc.set_carry(carry);
-  acc.add(local);
-  expect_matches(acc, distinct_rows(join(carry, local)), "cross");
-  EXPECT_EQ(acc.parts().rows, 6u);
+  SolutionSet reference;
+  add_hop(acc, reference, local, p, &carry);
+  expect_matches(acc, reference, "cross");
+  EXPECT_EQ(acc.parts().rows, 12u);
+  // Projected away from ?s, the four rows collapse to two per carry row.
+  const BgpPattern fixed{{node(1), node(100), var("l")}, nullptr};
+  ChainAccumulator narrow;
+  narrow.set_carry(carry);
+  narrow.add(local, fixed);
+  EXPECT_EQ(narrow.parts().rows, 3u);
 }
 
 TEST(ChainAccumulator, EmptyAndZeroWidthContributions) {
   ChainAccumulator acc;
   expect_matches(acc, SolutionSet{}, "fresh");
-  acc.add(SolutionSet{});
+  const BgpPattern bound{{node(1), node(2), node(3)}, nullptr};
+  acc.add(rdf::TripleStore{}, bound);
   expect_matches(acc, SolutionSet{}, "empty add");
-  // A fully bound pattern matches with empty mappings: any number of them
-  // collapse into one row.
+  // A fully bound pattern matches with the empty mapping: any number of
+  // such matches collapse into one row.
+  rdf::TripleStore store;
+  store.insert({node(1), node(2), node(3)});
+  acc.add(store, bound);
+  acc.add(store, bound);
   SolutionSet empties;
   empties.add(Binding{});
-  empties.add(Binding{});
-  acc.add(empties);
-  acc.add(empties);
-  expect_matches(acc, distinct_rows(empties), "zero width");
+  expect_matches(acc, empties, "zero width");
   EXPECT_EQ(acc.parts().rows, 1u);
 }
 
-// --- The id intake: add(store, pattern) ----------------------------------
-
-Term node(std::uint64_t k) {
-  return Term::iri("http://example.org/n/" + std::to_string(k));
+TEST(ChainAccumulator, HandsOverIdsOverTheGivenDictionary) {
+  // The executor's scans intern into the query's dictionary: the set a
+  // scan hands over holds its ids as they are, decoded by nobody.
+  common::Rng rng(0xACC9);
+  auto dict = std::make_shared<rdf::TermDictionary>();
+  ChainAccumulator acc(dict);
+  SolutionSet reference;
+  const BgpPattern p{{var("a"), var("name"), var("x")}, nullptr};
+  for (int hop = 0; hop < 4; ++hop) {
+    add_hop(acc, reference, hop_store(rng), p, nullptr);
+  }
+  const std::size_t terms = dict->size();
+  const SolutionSet got = acc.materialize();
+  EXPECT_EQ(got.dictionary(), dict);
+  EXPECT_EQ(dict->size(), terms);
+  expect_matches(acc, reference, "query dictionary");
+  // A second scan of the same query reuses the terms already interned.
+  ChainAccumulator second(dict);
+  second.set_carry(got);
+  EXPECT_EQ(dict->size(), terms);
 }
+
+// --- The id intake: add(store, pattern) ----------------------------------
 
 /// A provider store over a small pool, so patterns match often. Nodes
 /// double as subjects, predicates and objects (repeated variables across
@@ -242,8 +267,6 @@ rdf::TripleStore random_store(common::Rng& rng, std::size_t triples) {
   for (const rdf::Triple& t : all) store.insert(t);
   return store;
 }
-
-rdf::PatternTerm var(const char* name) { return rdf::Variable{name}; }
 
 /// Every shape the intake must bind like LocalEngine::match_pattern.
 std::vector<BgpPattern> intake_patterns() {
@@ -273,25 +296,18 @@ std::vector<BgpPattern> intake_patterns() {
 }
 
 /// Feed the same stores to the id intake and, decoded by LocalEngine, to
-/// the string intake; the two must agree after every hop.
+/// the reference merge; the two must agree after every hop.
 void expect_intakes_agree(const std::vector<rdf::TripleStore>& stores,
                           const BgpPattern& p, const SolutionSet* carry,
                           const std::string& where) {
   ChainAccumulator ids;
-  ChainAccumulator strings;
-  if (carry != nullptr) {
-    ids.set_carry(*carry);
-    strings.set_carry(*carry);
-  }
+  if (carry != nullptr) ids.set_carry(*carry);
+  SolutionSet reference;
   for (std::size_t hop = 0; hop < stores.size(); ++hop) {
-    ids.add(stores[hop], p);
-    strings.add(LocalEngine(stores[hop]).match_pattern(p));
-    expect_matches(ids, strings.materialize(),
+    add_hop(ids, reference, stores[hop], p, carry);
+    expect_matches(ids, reference,
                    where + " " + p.to_string() + " hop " +
                        std::to_string(hop));
-    EXPECT_EQ(ids.byte_size(), strings.byte_size());
-    EXPECT_EQ(net::wire::charged_bytes(ids),
-              net::wire::charged_bytes(strings));
   }
 }
 
@@ -408,9 +424,16 @@ TEST(CanonicalParts, SizeMatchesEncodingWithDuplicates) {
   common::Rng rng(0xACC4);
   const std::vector<std::string> vars = {"a", "b", "c"};
   for (int trial = 0; trial < 30; ++trial) {
-    std::vector<Binding> seen;
-    SolutionSet s = random_contribution(rng, vars, seen);
-    s.add(s.empty() ? Binding{} : s.rows().front());  // keep a duplicate
+    SolutionSet s;
+    const std::size_t rows = rng.below(25);
+    for (std::size_t r = 0; r < rows; ++r) {
+      Binding b;
+      for (const std::string& v : vars) {
+        if (rng.chance(0.85)) b.set(v, random_term(rng));
+      }
+      s.add(b);
+    }
+    s.add(s.empty() ? Binding{} : s.bindings().front());  // keep a duplicate
     EXPECT_EQ(net::wire::encoded_size(canonical_parts(s)),
               net::wire::encode(s).size())
         << "trial " << trial;

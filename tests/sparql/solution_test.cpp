@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "sparql/eval.hpp"
+#include "sparql/expr.hpp"
 
 namespace ahsw::sparql {
 namespace {
@@ -77,7 +80,7 @@ TEST(SolutionSet, JoinUnionsDisjointDomains) {
   SolutionSet j = join(SolutionSet({bind({{"x", "a"}})}),
                        SolutionSet({bind({{"y", "b"}})}));
   ASSERT_EQ(j.size(), 1u);
-  const Binding& m = j.rows()[0];
+  const Binding m = j.bindings()[0];
   EXPECT_EQ(*m.get("x"), iri("a"));
   EXPECT_EQ(*m.get("y"), iri("b"));
   EXPECT_EQ(m.size(), 2u);
@@ -226,11 +229,11 @@ TEST(SolutionSet, VariablesOfCollectsAllNames) {
 }
 
 // The cached byte size must be indistinguishable from recomputation: every
-// mutation path (incremental add, the row-vector constructor, in-place row
-// mutation through the non-const accessor, normalize) lands on the same
-// value a freshly built copy reports.
+// mutation path (incremental add, the row-vector constructor, projection,
+// row selection, slicing, normalize) lands on the same value a freshly
+// built copy reports.
 std::size_t recomputed(const SolutionSet& s) {
-  return SolutionSet(s.rows()).byte_size();
+  return SolutionSet(s.bindings()).byte_size();
 }
 
 TEST(SolutionSet, ByteSizeCacheSurvivesIncrementalAdds) {
@@ -244,14 +247,20 @@ TEST(SolutionSet, ByteSizeCacheSurvivesIncrementalAdds) {
 }
 
 TEST(SolutionSet, ByteSizeCacheInvalidatedByRowMutation) {
-  SolutionSet s({bind({{"x", "a"}})});
+  SolutionSet s({bind({{"x", "a"}, {"y", "b"}}),
+                 bind({{"x", "a much longer IRI than the first"}})});
   std::size_t before = s.byte_size();
-  s.rows()[0].set("x", rdf::Term::literal("a much longer literal value"));
-  EXPECT_GT(s.byte_size(), before);
+  s.project({"x"});
+  EXPECT_LT(s.byte_size(), before);
+  EXPECT_EQ(s.byte_size(), recomputed(s));
+  EXPECT_EQ(s.vars(), (std::vector<std::string>{"x"}));
+
+  s.keep_rows({1});
   EXPECT_EQ(s.byte_size(), recomputed(s));
 
-  s.rows().clear();
+  s.slice(1, std::nullopt);
   EXPECT_EQ(s.byte_size(), SolutionSet{}.byte_size());
+  EXPECT_TRUE(s.vars().empty());  // no row binds ?x any more
 }
 
 TEST(SolutionSet, ByteSizeCacheSurvivesNormalize) {
@@ -260,6 +269,123 @@ TEST(SolutionSet, ByteSizeCacheSurvivesNormalize) {
   s.normalize();
   EXPECT_EQ(s.byte_size(), before);
   EXPECT_EQ(s.byte_size(), recomputed(s));
+}
+
+// --- The columnar representation against the row form ------------------
+
+/// A term of any kind, from pools small enough that rows repeat.
+rdf::Term any_term(common::Rng& rng) {
+  switch (rng.below(5)) {
+    case 0: return iri("t/" + std::to_string(rng.below(6)));
+    case 1: return rdf::Term::literal("v" + std::to_string(rng.below(6)));
+    case 2: return rdf::Term::integer(static_cast<long long>(rng.below(6)));
+    case 3: return rdf::Term::lang_literal("w" + std::to_string(rng.below(3)),
+                                           rng.chance(0.5) ? "en" : "de");
+    default: return rdf::Term::blank("b" + std::to_string(rng.below(4)));
+  }
+}
+
+/// Rows over a few variables, each left unbound at random (some rows bind
+/// nothing), in a dictionary of the set's own.
+SolutionSet random_rows(common::Rng& rng, std::size_t max_rows = 30) {
+  static const char* kVars[] = {"a", "b", "x", "y", "z"};
+  SolutionSet s;
+  const std::size_t rows = rng.below(max_rows + 1);
+  for (std::size_t r = 0; r < rows; ++r) {
+    Binding b;
+    for (const char* v : kVars) {
+      if (rng.chance(0.5)) b.set(v, any_term(rng));
+    }
+    s.add(b);
+  }
+  return s;
+}
+
+/// Binding::byte_size summed over the rows plus the set framing.
+std::size_t binding_bytes(const SolutionSet& s) {
+  std::size_t n = SolutionSet{}.byte_size();
+  for (const Binding& b : s.bindings()) n += b.byte_size();
+  return n;
+}
+
+TEST(SolutionSetColumnar, NormalizeEqualsSortOverBindings) {
+  common::Rng rng(0xC01);
+  for (int trial = 0; trial < 200; ++trial) {
+    SolutionSet s = random_rows(rng);
+    std::vector<Binding> expected = s.bindings();
+    std::sort(expected.begin(), expected.end());
+    s.normalize();
+    ASSERT_EQ(s.bindings(), expected) << "trial " << trial;
+  }
+}
+
+TEST(SolutionSetColumnar, ByteSizeEqualsBindingFormula) {
+  common::Rng rng(0xC02);
+  for (int trial = 0; trial < 100; ++trial) {
+    const SolutionSet a = random_rows(rng);
+    const SolutionSet b = random_rows(rng);
+    for (const SolutionSet& s :
+         {a, join(a, b), left_join(a, b), minus(a, b), set_union(a, b),
+          deduplicated(a)}) {
+      ASSERT_EQ(s.byte_size(), binding_bytes(s)) << "trial " << trial;
+      ASSERT_EQ(s.byte_size(), SolutionSet(s.bindings()).byte_size());
+    }
+  }
+}
+
+TEST(SolutionSetColumnar, KernelsOverDifferentDictionariesEqualSharedOne) {
+  // The re-key is the one conversion: an operand over another dictionary
+  // must give exactly the rows, in the same order, of the same operand
+  // already over the left one's.
+  common::Rng rng(0xC03);
+  const ExprPtr cond = Expr::binary(ExprKind::kOr, Expr::bound("z"),
+                                    Expr::binary(ExprKind::kEq,
+                                                 Expr::variable("a"),
+                                                 Expr::variable("b")));
+  for (int trial = 0; trial < 100; ++trial) {
+    const SolutionSet a = random_rows(rng);
+    const SolutionSet b = random_rows(rng);
+    if (a.dictionary() == nullptr || b.dictionary() == nullptr) continue;
+    ASSERT_NE(a.dictionary(), b.dictionary());
+    const SolutionSet shared = b.rekeyed(a.dictionary());
+    ASSERT_EQ(shared.dictionary(), a.dictionary());
+    ASSERT_EQ(shared.bindings(), b.bindings());
+    auto same = [&](const SolutionSet& x, const SolutionSet& y,
+                    const char* op) {
+      EXPECT_EQ(x.bindings(), y.bindings()) << op << " trial " << trial;
+      EXPECT_EQ(x.dictionary(), a.dictionary()) << op;
+      EXPECT_EQ(y.dictionary(), a.dictionary()) << op;
+    };
+    same(join(a, b), join(a, shared), "join");
+    same(left_join(a, b), left_join(a, shared), "left_join");
+    same(left_join_conditioned(a, b, cond),
+         left_join_conditioned(a, shared, cond), "left_join_conditioned");
+    same(minus(a, b), minus(a, shared), "minus");
+    same(set_union(a, b), set_union(a, shared), "set_union");
+  }
+}
+
+TEST(SolutionSetColumnar, SchemaHoldsOnlyBoundVariables) {
+  SolutionSet s({bind({{"x", "1"}, {"y", "2"}}), bind({{"x", "3"}})});
+  EXPECT_EQ(s.vars(), (std::vector<std::string>{"x", "y"}));
+  s.slice(1, std::nullopt);  // the row binding ?y is gone
+  EXPECT_EQ(s.vars(), (std::vector<std::string>{"x"}));
+  EXPECT_EQ(s.to_string(), "[{x-><http://3>}]");
+  const SolutionSet none = minus(s, s);
+  EXPECT_TRUE(none.empty());
+  EXPECT_TRUE(none.vars().empty());
+}
+
+TEST(SolutionSetColumnar, MovedFromSetIsEmpty) {
+  SolutionSet s({bind({{"x", "1"}}), bind({{"x", "2"}})});
+  const std::size_t bytes = s.byte_size();
+  SolutionSet moved = std::move(s);
+  EXPECT_EQ(moved.size(), 2u);
+  EXPECT_EQ(moved.byte_size(), bytes);
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is API.
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.byte_size(), SolutionSet{}.byte_size());
+  EXPECT_EQ(s.to_string(), "[]");
 }
 
 }  // namespace
