@@ -1,15 +1,18 @@
 // Goldens for the SPARQL set operators — join, minus, left_join,
 // left_join_conditioned, filter_set and deduplicated — and for the
 // distributed processor running them: five query classes, healthy and with
-// a dead provider, and a faulted retry batch. All tables were recorded from
-// the row-at-a-time operators that the id-space kernels replaced
-// (nested-loop compatibility checks over materialized terms, a string-keyed
-// hash join, normalize() + std::unique for DISTINCT), after checking that
-// the kernels produced the same rows in the same order, and the processor
-// the same plan notes, response times and traffic, on every input. They
-// are the executable record of that path's answers: any kernel change that
-// moves a row, reorders one, or changes what a query or a retry ships
-// fails here.
+// a dead provider, a faulted retry batch, and the lazy-repair re-lookup of
+// a conjunction slot that carries a set. All tables but the re-lookup one
+// were recorded from the row-at-a-time operators that the id-space kernels
+// replaced (nested-loop compatibility checks over materialized terms, a
+// string-keyed hash join, normalize() + std::unique for DISTINCT), after
+// checking that the kernels produced the same rows in the same order, and
+// the processor the same plan notes, response times and traffic, on every
+// input. They are the executable record of that path's answers: any kernel
+// change that moves a row, reorders one, or changes what a query or a
+// retry ships fails here. The re-lookup table was recorded from the
+// executor that started a re-lookup's distribution in its own handler,
+// before that code was shared with the scan's.
 //
 // Rows are kept as an FNV-1a digest over Binding::to_string in result
 // order, with each operation's row count folded in so set boundaries
@@ -613,6 +616,123 @@ TEST(KernelGoldens, FaultedRetryBatch) {
   EXPECT_TRUE(got == kFaultedBatch) << "golden:\n"
                                     << to_cpp(kFaultedBatch) << "observed:\n"
                                     << to_cpp(got);
+}
+
+// The lazy-repair re-lookup of a conjunction's second slot, which must
+// re-distribute the set carried from slot 0: Basic gathers it at the
+// assembly site, FreqChain ships it to the new chain's first provider. The
+// only provider of the slot-1 pattern is dead from t=0; in the "rejoined"
+// cases it rejoins at 100 ms, while the slot times out, so the re-lookup
+// finds it again; in the "gone" cases it stays dead and the re-lookup
+// comes back empty, so the scan completes empty at the carry's site.
+// clang-format off
+const QueryGolden kRelookupGoldens[] = {
+    {"basic rejoined", 0, 2, 0x3e1d990540c12793ull, 0x968d9f60b05d74faull,
+     0x1.c986a7ef9db24p+7, true,
+     {23, 1229, 1398, 1,
+      {4, 10, 4, 4, 1}, {256, 328, 342, 238, 65}, {0, 0, 1, 0, 0}},
+     {116, 5701, 5870, 1,
+      {60, 47, 4, 4, 1}, {3840, 1216, 342, 238, 65}, {0, 0, 1, 0, 0}}},
+    {"basic gone", 0, 0, 0xb51c355e2e9719f3ull, 0x968d9f60b05d74faull,
+     0x1.c1028f5c28f5cp+7, true,
+     {20, 923, 924, 1,
+      {4, 10, 3, 2, 1}, {256, 312, 272, 80, 3}, {0, 0, 1, 0, 0}},
+     {20, 923, 924, 1,
+      {4, 10, 3, 2, 1}, {256, 312, 272, 80, 3}, {0, 0, 1, 0, 0}}},
+    {"freq-chain rejoined", 0, 2, 0x3e1d990540c12793ull, 0x968d9f60b05d74faull,
+     0x1.c585a1cac0831p+7, true,
+     {21, 1127, 1210, 1,
+      {4, 10, 3, 3, 1}, {256, 328, 241, 237, 65}, {0, 0, 1, 0, 0}},
+     {114, 5599, 5682, 1,
+      {60, 47, 3, 3, 1}, {3840, 1216, 241, 237, 65}, {0, 0, 1, 0, 0}}},
+    {"freq-chain gone", 0, 0, 0xb51c355e2e9719f3ull, 0x968d9f60b05d74faull,
+     0x1.c139db22d0e56p+7, true,
+     {19, 931, 960, 1,
+      {4, 10, 2, 2, 1}, {256, 312, 171, 189, 3}, {0, 0, 1, 0, 0}},
+     {19, 931, 960, 1,
+      {4, 10, 2, 2, 1}, {256, 312, 171, 189, 3}, {0, 0, 1, 0, 0}}},
+};
+// clang-format on
+
+QueryGolden observe_relookup(std::string_view variant,
+                             optimizer::PrimitiveStrategy strategy,
+                             bool rejoin) {
+  workload::TestbedConfig cfg;
+  cfg.index_nodes = 4;
+  cfg.storage_nodes = 4;
+  cfg.foaf.persons = 0;
+  workload::Testbed bed(cfg);
+  const rdf::Term knows = rdf::Term::iri("http://xmlns.com/foaf/0.1/knows");
+  const rdf::Term name = rdf::Term::iri("http://xmlns.com/foaf/0.1/name");
+  const rdf::Term target = rdf::Term::iri("http://example.org/people/p0");
+  auto person = [](int i) {
+    return rdf::Term::iri("http://example.org/people/s" + std::to_string(i));
+  };
+  // Slot 0 (the rarer pattern): two knows triples on storage nodes 1 and 2.
+  // Slot 1: five names, all on node 0, the victim.
+  bed.overlay().share_triples(bed.storage_addrs()[1],
+                              {{person(0), knows, target}}, 0);
+  bed.overlay().share_triples(bed.storage_addrs()[2],
+                              {{person(1), knows, target}}, 0);
+  std::vector<rdf::Triple> names;
+  for (int i = 0; i < 5; ++i) {
+    names.push_back({person(i), name,
+                     rdf::Term::literal("s" + std::to_string(i))});
+  }
+  const net::NodeAddress victim = bed.storage_addrs()[0];
+  bed.overlay().share_triples(victim, names, 0);
+
+  ExecutionPolicy policy;
+  policy.primitive = strategy;
+  policy.retry.relookup = true;
+  DistributedQueryProcessor proc(bed.overlay(), policy);
+  const std::string query =
+      std::string(kPrologue) +
+      "SELECT ?x ?n WHERE { ?x foaf:knows <http://example.org/people/p0> . "
+      "?x foaf:name ?n . }";
+  const BatchQuery q{sparql::parse_query(query), bed.storage_addrs()[3]};
+  fault::FaultSchedule schedule;
+  schedule.storage_fail(0, victim);
+  if (rejoin) schedule.rejoin(100, victim);
+  const net::TrafficStats before = bed.network().stats();
+  const fault::FaultRunResult run =
+      fault::run_with_faults(proc, bed.overlay(), {q}, schedule);
+  const net::TrafficStats delta = bed.network().stats().delta_since(before);
+
+  const ExecutionReport& rep = run.batch.reports.front();
+  EXPECT_EQ(rep.relookups, 1) << variant << ": the re-lookup did not run";
+  EXPECT_GT(rep.dead_providers_skipped, 0) << variant;
+  return observe(variant, 0, run.batch.results.front(), rep, delta);
+}
+
+TEST(KernelGoldens, RelookupWithCarry) {
+  struct Case {
+    std::string_view variant;
+    optimizer::PrimitiveStrategy strategy;
+    bool rejoin;
+  };
+  const Case cases[] = {
+      {"basic rejoined", optimizer::PrimitiveStrategy::kBasic, true},
+      {"basic gone", optimizer::PrimitiveStrategy::kBasic, false},
+      {"freq-chain rejoined", optimizer::PrimitiveStrategy::kFrequencyChain,
+       true},
+      {"freq-chain gone", optimizer::PrimitiveStrategy::kFrequencyChain,
+       false},
+  };
+  for (const Case& c : cases) {
+    const QueryGolden got = observe_relookup(c.variant, c.strategy, c.rejoin);
+    const QueryGolden* want = nullptr;
+    for (const QueryGolden& g : kRelookupGoldens) {
+      if (g.variant == c.variant) want = &g;
+    }
+    if (want == nullptr) {
+      ADD_FAILURE() << "no golden; observed:\n" << to_cpp(got);
+      continue;
+    }
+    EXPECT_TRUE(got == *want) << c.variant << "\ngolden:\n"
+                              << to_cpp(*want) << "observed:\n"
+                              << to_cpp(got);
+  }
 }
 
 }  // namespace
