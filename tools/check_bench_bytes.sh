@@ -5,8 +5,9 @@
 # by default) against a committed baseline: --baseline PATH, by default
 # bench/baselines/BENCH_throughput.json (the throughput sweep). The
 # primitive-strategy sweep is gated against bench/baselines/
-# BENCH_primitive.json and the churn availability sweep against
-# bench/baselines/BENCH_churn.json the same way. Three checks:
+# BENCH_primitive.json, the churn availability sweep against
+# bench/baselines/BENCH_churn.json and the E14-P bulk batch against
+# bench/baselines/BENCH_parallel.json the same way. Three checks:
 #   - every baseline record must be present in the fresh series, so a sweep
 #     that dies part way through fails instead of passing on what it wrote;
 #   - the simulated counters of every record are deterministic and must
