@@ -45,10 +45,9 @@ void rotate_end_to_back(std::vector<overlay::Provider>& chain,
 /// It inherits the accumulator's wire size as its memo: same distinct rows,
 /// same canonical encoding, so the next ship or colocate does not re-rank
 /// its terms.
-SolutionSet take_merged(std::unique_ptr<sparql::ChainAccumulator>& acc) {
-  SolutionSet out = acc->materialize();
-  out.set_wire_cache(net::wire::charged_bytes(*acc));
-  acc.reset();
+SolutionSet take_merged(const sparql::ChainAccumulator& acc) {
+  SolutionSet out = acc.materialize();
+  out.set_wire_cache(net::wire::charged_bytes(acc));
   return out;
 }
 
@@ -60,15 +59,14 @@ SolutionSet take_merged(std::unique_ptr<sparql::ChainAccumulator>& acc) {
 DagExecutor::Located DagExecutor::take_output(QueryRun& run,
                                               TaskId producer) {
   Task& p = run.tasks[producer];
-  if (p.dependents.size() == 1) return std::move(p.out);
-  return p.out;
+  assert(!p.taken && "an output is taken by its one data reader only");
+  p.taken = true;
+  return std::move(p.out);
 }
 
-void DagExecutor::release_sets(QueryRun& run) {
-  for (Task& t : run.tasks) {
-    t.out.set = SolutionSet{};
-    t.carry.set = SolutionSet{};
-  }
+void DagExecutor::release_query(QueryRun& run) {
+  run.located.clear();
+  run.join_orders.clear();
   run.dict.reset();
 }
 
@@ -222,6 +220,19 @@ DagExecutor::TaskId DagExecutor::add_task(QueryRun& run, Task t) {
   return id;
 }
 
+void DagExecutor::spawn(QueryRun& run, TaskKind kind, TaskId scan_id,
+                        std::uint32_t position, int attempt,
+                        net::SimTime base) {
+  Task t;
+  t.kind = kind;
+  t.scan = scan_id;
+  t.position = position;
+  t.attempt = attempt;
+  t.base = base;
+  t.parent_span = run.tasks[scan_id].state->pattern_span;
+  add_task(run, std::move(t));
+}
+
 void DagExecutor::schedule(QueryRun& run, TaskId id) {
   Task& t = run.tasks[id];
   net::SimTime at = t.base;
@@ -279,19 +290,9 @@ void DagExecutor::setup_query(QueryRun& run) {
     }
     switch (op.kind) {
       case PhysOpKind::kConst: t.kind = TaskKind::kConst; break;
-      case PhysOpKind::kIndexLookup:
-        t.kind = TaskKind::kLookup;
-        t.pattern = op.pattern;
-        break;
+      case PhysOpKind::kIndexLookup: t.kind = TaskKind::kLookup; break;
       case PhysOpKind::kProviderScan: t.kind = TaskKind::kScan; break;
-      case PhysOpKind::kChainHop:
-        assert(false && "ChainHop is a dynamic task, never compiled");
-        break;
-      case PhysOpKind::kShip:
-        t.kind = TaskKind::kShip;
-        t.ship_target = run.initiator;
-        t.ship_category = net::Category::kResult;
-        break;
+      case PhysOpKind::kShip: t.kind = TaskKind::kShip; break;
       case PhysOpKind::kJoin: t.kind = TaskKind::kJoin; break;
       case PhysOpKind::kLeftJoin: t.kind = TaskKind::kLeftJoin; break;
       case PhysOpKind::kUnion: t.kind = TaskKind::kUnion; break;
@@ -356,8 +357,10 @@ void DagExecutor::fire(QueryRun& run, TaskId id) {
 
 net::SimTime DagExecutor::fire_lookup(QueryRun& run, TaskId id) {
   Task& t = run.tasks[id];
+  const rdf::TriplePattern& pattern = run.plan.ops[t.op].pattern.pattern;
+  overlay::HybridOverlay::Located& loc = run.located[t.op];
   std::optional<chord::Key> key;
-  if (policy_.cache.enabled) key = overlay_->row_key(t.pattern.pattern);
+  if (policy_.cache.enabled) key = overlay_->row_key(pattern);
   if (key.has_value()) {
     overlay::LocationCache& cache = overlay_->cache_for(run.initiator);
     const overlay::CacheStats before = cache.stats();
@@ -375,12 +378,12 @@ net::SimTime DagExecutor::fire_lookup(QueryRun& run, TaskId id) {
       // traffic, completion at the task's own start time.
       obs::SpanScope span(trace_, obs::SpanKind::kCache, "hit key " + klabel,
                           t.base, run.initiator);
-      t.loc.providers = row->providers;
-      t.loc.index_node = row->index_node;
-      t.loc.ok = true;
-      t.loc.completed_at = t.base;
-      t.loc.cached = true;
-      t.loc.snapshot_age_ms = t.base - row->inserted_at;
+      loc.providers = row->providers;
+      loc.index_node = row->index_node;
+      loc.ok = true;
+      loc.completed_at = t.base;
+      loc.cached = true;
+      loc.snapshot_age_ms = t.base - row->inserted_at;
       span.finish(t.base);
       run.rep.cache.accumulate(cache.stats().delta_since(before));
       complete(run, id, t.base);
@@ -391,21 +394,20 @@ net::SimTime DagExecutor::fire_lookup(QueryRun& run, TaskId id) {
                           t.base, run.initiator);
       span.finish(t.base);
     }
-    t.loc = locate(t.pattern.pattern, run.initiator, t.base, run.rep);
-    if (t.loc.ok && !t.loc.broadcast) {
+    loc = locate(pattern, run.initiator, t.base, run.rep);
+    if (loc.ok && !loc.broadcast) {
       if (state_log_ != nullptr) {
         StateAction a;
         a.kind = StateAction::Kind::kCacheInsert;
-        a.when = t.loc.completed_at;
+        a.when = loc.completed_at;
         a.initiator = run.initiator;
         a.key = *key;
-        a.index_node = t.loc.index_node;
-        a.fetched_at = t.loc.completed_at;
-        a.providers = t.loc.providers;
+        a.index_node = loc.index_node;
+        a.fetched_at = loc.completed_at;
+        a.providers = loc.providers;
         record(std::move(a));
       }
-      if (cache.insert(*key, t.loc.providers, t.loc.index_node,
-                       t.loc.completed_at)) {
+      if (cache.insert(*key, loc.providers, loc.index_node, loc.completed_at)) {
         // The key crossed the hot threshold: the cached row becomes a
         // leased extra replica — the owner pushes invalidations to this
         // initiator on every row mutation (subscription rides the lookup
@@ -414,7 +416,7 @@ net::SimTime DagExecutor::fire_lookup(QueryRun& run, TaskId id) {
         if (state_log_ != nullptr) {
           StateAction a;
           a.kind = StateAction::Kind::kSubscribe;
-          a.when = t.loc.completed_at;
+          a.when = loc.completed_at;
           a.initiator = run.initiator;
           a.key = *key;
           record(std::move(a));
@@ -422,71 +424,52 @@ net::SimTime DagExecutor::fire_lookup(QueryRun& run, TaskId id) {
       }
     }
     run.rep.cache.accumulate(cache.stats().delta_since(before));
-    complete(run, id, t.loc.completed_at);
+    complete(run, id, loc.completed_at);
     return 0;
   }
-  t.loc = locate(t.pattern.pattern, run.initiator, t.base, run.rep);
-  complete(run, id, t.loc.completed_at);
+  loc = locate(pattern, run.initiator, t.base, run.rep);
+  complete(run, id, loc.completed_at);
   return 0;
 }
 
 net::SimTime DagExecutor::fire_scan(QueryRun& run, TaskId id) {
   Task& task = run.tasks[id];
-  const PhysicalOp* op =
-      task.op != kNoOp ? &run.plan.ops[task.op] : nullptr;
-
-  sparql::BgpPattern pat;
-  overlay::HybridOverlay::Located loc;
-  const Located* carry = nullptr;
+  const PhysicalOp& op = run.plan.ops[task.op];
+  task.state = std::make_unique<ScanState>(run.dict);
+  ScanState& s = *task.state;
   std::optional<net::NodeAddress> pend;
+  if (op.preferred_end_from != kNoOp) {
+    pend = run.tasks[op.preferred_end_from].out.site;
+  }
 
-  if (op == nullptr) {
-    // Dynamic DESCRIBE part: standalone pattern, no pend, no carry.
-    pat = task.pattern;
-    loc = run.tasks[task.deps.front()].loc;
-    if (!loc.ok) {
-      task.out.site = run.initiator;
-      task.out.ready_at = task.base;
-      complete(run, id, task.out.ready_at);
-      return 0;
-    }
-  } else if (op->slot < 0) {
-    // Standalone single-pattern BGP.
-    pat = op->pattern;
-    loc = run.tasks[op->lookup].loc;
-    if (op->preferred_end_from != kNoOp) {
-      pend = run.tasks[op->preferred_end_from].out.site;
-    }
-    if (!loc.ok) {
-      task.out.site = run.initiator;
-      task.out.ready_at = task.base;
-      complete(run, id, task.out.ready_at);
+  if (op.slot < 0) {
+    // Standalone single-pattern BGP or DESCRIBE part.
+    s.lookup = op.lookup;
+    if (!run.located.at(s.lookup).ok) {
+      finish_scan_empty(run, id, task.base);
       return 0;
     }
   } else {
     // One slot of a conjunction (Sect. IV-D).
-    Task& g0 = run.tasks[op->group];
-    const std::vector<OpId>& lookups = run.plan.ops[op->group].group_lookups;
-    if (op->slot == 0) {
+    const std::vector<OpId>& lookups = run.plan.ops[op.group].group_lookups;
+    std::vector<std::size_t>& order = run.join_orders[op.group];
+    if (op.slot == 0) {
       // Resolve the runtime join order from the lookup frequencies.
       std::vector<optimizer::PatternStats> stats;
       stats.reserve(lookups.size());
       for (OpId l : lookups) {
         stats.push_back(optimizer::PatternStats{
-            run.tasks[l].pattern.pattern, run.tasks[l].loc.providers});
+            run.plan.ops[l].pattern.pattern, run.located.at(l).providers});
       }
-      g0.group = std::make_unique<GroupState>();
       if (policy_.frequency_join_order) {
-        g0.group->order = optimizer::order_join_patterns(stats);
+        order = optimizer::order_join_patterns(stats);
       } else {
-        g0.group->order.resize(lookups.size());
-        for (std::size_t i = 0; i < lookups.size(); ++i) {
-          g0.group->order[i] = i;
-        }
+        order.resize(lookups.size());
+        for (std::size_t i = 0; i < lookups.size(); ++i) order[i] = i;
       }
       std::string note = "join-order:";
-      for (std::size_t i : g0.group->order) {
-        note += " " + run.tasks[lookups[i]].pattern.pattern.to_string();
+      for (std::size_t i : order) {
+        note += " " + run.plan.ops[lookups[i]].pattern.pattern.to_string();
       }
       run.rep.plan_notes.push_back(std::move(note));
       // Cached frequency snapshots may be stale; the staleness bound is the
@@ -495,9 +478,9 @@ net::SimTime DagExecutor::fire_scan(QueryRun& run, TaskId id) {
       net::SimTime worst_age = 0;
       bool any_cached = false;
       for (OpId l : lookups) {
-        if (run.tasks[l].loc.cached) {
+        if (run.located.at(l).cached) {
           any_cached = true;
-          worst_age = std::max(worst_age, run.tasks[l].loc.snapshot_age_ms);
+          worst_age = std::max(worst_age, run.located.at(l).snapshot_age_ms);
         }
       }
       if (any_cached) {
@@ -506,143 +489,141 @@ net::SimTime DagExecutor::fire_scan(QueryRun& run, TaskId id) {
             " ms <= bound " + std::to_string(policy_.cache.ttl_ms) + " ms");
       }
     }
-    const GroupState& g = *g0.group;
-    const std::size_t i = g.order[static_cast<std::size_t>(op->slot)];
-    pat = run.tasks[lookups[i]].pattern;
-    loc = run.tasks[lookups[i]].loc;
-    if (op->slot > 0) {
-      Located prev = take_output(run, op->inputs.front());
+    const std::size_t slot = static_cast<std::size_t>(op.slot);
+    s.lookup = lookups[order[slot]];
+    if (slot > 0) {
+      Located prev = take_output(run, op.inputs.front());
       if (prev.set.empty()) {
         // Short-circuit: one empty operand empties the whole join; the
         // remaining slots pass the result through untouched (no traffic).
-        task.out = std::move(prev);
-        complete(run, id, task.out.ready_at);
+        finish_scan(run, id, std::move(prev));
         return 0;
       }
-      task.carry = std::move(prev);
-      task.has_carry = true;
-      carry = &task.carry;
+      s.carry = std::move(prev);
     }
-    if (op->preferred_end_from != kNoOp) {
-      pend = run.tasks[op->preferred_end_from].out.site;
-    }
-    if (policy_.overlap_aware_sites &&
-        op->slot + 1 < static_cast<int>(g.order.size())) {
+    if (policy_.overlap_aware_sites && slot + 1 < order.size()) {
       std::vector<net::NodeAddress> shared = optimizer::provider_overlap(
-          loc.providers,
-          run.tasks[lookups[g.order[static_cast<std::size_t>(op->slot) + 1]]]
-              .loc.providers);
+          run.located.at(s.lookup).providers,
+          run.located.at(lookups[order[slot + 1]]).providers);
       if (!shared.empty()) pend = shared.front();
     }
   }
 
   // --- Pattern evaluation at the providers (strategy-driven). ---
-  const net::SimTime now = loc.completed_at;
-
+  const overlay::HybridOverlay::Located& loc = run.located.at(s.lookup);
+  const rdf::TriplePattern& pattern = run.plan.ops[s.lookup].pattern.pattern;
   if (loc.providers.empty()) {
-    task.out.site = carry != nullptr ? carry->site : run.initiator;
-    task.out.ready_at =
-        std::max(now, carry != nullptr ? carry->ready_at : now);
-    complete(run, id, task.out.ready_at);
+    finish_scan_empty(run, id, loc.completed_at);
     return 0;
   }
 
-  task.pattern_span = open_span(obs::SpanKind::kPattern,
-                                pat.pattern.to_string(), now, run.initiator);
-
-  PrimitiveStrategy strategy = policy_.primitive;
+  s.pattern_span = open_span(obs::SpanKind::kPattern, pattern.to_string(),
+                             loc.completed_at, run.initiator);
+  s.strategy = policy_.primitive;
   if (policy_.adaptive && !loc.broadcast && loc.providers.size() > 1) {
-    strategy = optimizer::choose_primitive_strategy(
+    s.strategy = optimizer::choose_primitive_strategy(
         loc.providers, net().cost_model(), policy_.objectives);
     run.rep.plan_notes.push_back(
-        std::string("adaptive: ") + pat.pattern.to_string() + " -> " +
-        std::string(optimizer::primitive_strategy_name(strategy)));
+        std::string("adaptive: ") + pattern.to_string() + " -> " +
+        std::string(optimizer::primitive_strategy_name(s.strategy)));
   }
+  distribute(run, id, loc, pend);
+  close_span(s.pattern_span, 0.0);
+  return 0;
+}
 
-  task.pattern = pat;
-  task.strategy = strategy;  // a later re-lookup re-orders with the same one
-  task.acc = std::make_unique<sparql::ChainAccumulator>(run.dict);
-  const bool scatter_gather =
-      strategy == PrimitiveStrategy::kBasic || loc.broadcast;
+net::SimTime DagExecutor::distribute(
+    QueryRun& run, TaskId id, const overlay::HybridOverlay::Located& loc,
+    std::optional<net::NodeAddress> pend) {
+  ScanState& s = *run.tasks[id].state;
+  const net::SimTime now = loc.completed_at;
+  s.acc = sparql::ChainAccumulator(run.dict);
+  s.failed_contacts = 0;
+  // The index node that served the row, unless it has left the ring.
+  const chord::Ring& ring = overlay_->ring();
+  const net::NodeAddress owner = ring.contains(loc.index_node)
+                                     ? ring.address_of(loc.index_node)
+                                     : run.initiator;
 
-  if (scatter_gather) {
+  if (s.strategy == PrimitiveStrategy::kBasic || loc.broadcast) {
     // Basic strategy (Sect. IV-C): the index node is the assembly site; all
     // providers evaluate in parallel and ship their mappings to it. A
     // broadcast (fully unbound) pattern floods from the initiator instead.
-    task.assembly = loc.broadcast ? run.initiator
-                    : overlay_->ring().contains(loc.index_node)
-                        ? overlay_->ring().address_of(loc.index_node)
-                        : run.initiator;
-    task.chain = loc.providers;
-    task.remaining = task.chain.size();
-    task.t = now;
-    task.done_at = now;
-    for (std::size_t k = 0; k < task.chain.size(); ++k) {
-      Task leg;
-      leg.kind = TaskKind::kScatterLeg;
-      leg.scan = id;
-      leg.position = k;
-      leg.base = now;
-      leg.parent_span = run.tasks[id].pattern_span;
-      add_task(run, std::move(leg));
+    s.assembly = loc.broadcast ? run.initiator : owner;
+    s.chain = loc.providers;
+    s.remaining = s.chain.size();
+    s.done_at = now;
+    for (std::size_t k = 0; k < s.chain.size(); ++k) {
+      spawn(run, TaskKind::kScatterLeg, id, static_cast<std::uint32_t>(k), 0,
+            now);
     }
-    close_span(run.tasks[id].pattern_span, 0.0);
-    return 0;
+    return now;
   }
 
   // Chain strategies: the sub-query travels a provider chain; every
   // provider merges its local mappings into the travelling set.
-  std::vector<overlay::Provider> chain =
-      optimizer::chain_order(loc.providers, strategy);
+  s.chain = optimizer::chain_order(loc.providers, s.strategy);
   if (policy_.overlap_aware_sites && pend.has_value()) {
-    rotate_end_to_back(chain, *pend);
+    rotate_end_to_back(s.chain, *pend);
   }
-
-  net::NodeAddress owner_addr =
-      overlay_->ring().contains(loc.index_node)
-          ? overlay_->ring().address_of(loc.index_node)
-          : run.initiator;
-  net::SimTime t;
-  {
-    obs::SpanScope ship_span(
-        trace_, obs::SpanKind::kSubQueryShip,
-        "to node " + std::to_string(chain.front().address), now, owner_addr);
-    t = net().send(owner_addr, chain.front().address, subquery_wire_bytes(pat),
-                   now, net::Category::kQuery);
-    if (carry != nullptr) {
-      t = std::max(t, net().send(carry->site, chain.front().address,
-                                 net::wire::charged_bytes(carry->set),
-                                 carry->ready_at, net::Category::kData,
-                                 carry->set.byte_size()));
-      task.carry_bytes = net::wire::charged_bytes(carry->set);
-      task.carry_raw_bytes = carry->set.byte_size();
-      task.acc->set_carry(carry->set);
-    }
-    ship_span.finish(t);
+  const net::NodeAddress first = s.chain.front().address;
+  obs::SpanScope ship_span(trace_, obs::SpanKind::kSubQueryShip,
+                           "to node " + std::to_string(first), now, owner);
+  s.t = net().send(owner, first,
+                   subquery_wire_bytes(run.plan.ops[s.lookup].pattern), now,
+                   net::Category::kQuery);
+  if (s.carry.has_value()) {
+    s.carry_bytes = net::wire::charged_bytes(s.carry->set);
+    s.carry_raw_bytes = s.carry->set.byte_size();
+    s.t = std::max(
+        s.t, net().send(s.carry->site, first, s.carry_bytes,
+                        std::max(now, s.carry->ready_at),
+                        net::Category::kData, s.carry_raw_bytes));
+    s.acc.set_carry(s.carry->set);
   }
-  task.chain = std::move(chain);
-  task.t = t;
-  task.sender = owner_addr;
-  task.site = owner_addr;
+  ship_span.finish(s.t);
+  s.sender = owner;
+  s.site = owner;
+  spawn(run, TaskKind::kChainHop, id, 0, 0, s.t);
+  return s.t;
+}
 
-  Task hop;
-  hop.kind = TaskKind::kChainHop;
-  hop.scan = id;
-  hop.position = 0;
-  hop.base = t;
-  hop.parent_span = task.pattern_span;
-  add_task(run, std::move(hop));
-  close_span(run.tasks[id].pattern_span, 0.0);
-  return 0;
+net::SimTime DagExecutor::send_hop(const QueryRun& run, const ScanState& s,
+                                   net::NodeAddress to, net::SimTime at,
+                                   net::Category category) {
+  const std::size_t query =
+      subquery_wire_bytes(run.plan.ops[s.lookup].pattern);
+  return net().send(s.sender, to,
+                    query + net::wire::charged_bytes(s.acc) + s.carry_bytes,
+                    at, category,
+                    query + s.acc.byte_size() + s.carry_raw_bytes);
+}
+
+net::SimTime DagExecutor::finish_scan(QueryRun& run, TaskId id, Located out) {
+  Task& scan = run.tasks[id];
+  scan.out = std::move(out);
+  scan.state.reset();
+  complete(run, id, scan.out.ready_at);
+  return scan.out.ready_at;
+}
+
+net::SimTime DagExecutor::finish_scan_empty(QueryRun& run, TaskId id,
+                                            net::SimTime at) {
+  const std::optional<Located>& carry = run.tasks[id].state->carry;
+  Located out;
+  out.site = carry.has_value() ? carry->site : run.initiator;
+  out.ready_at = carry.has_value() ? std::max(at, carry->ready_at) : at;
+  return finish_scan(run, id, std::move(out));
 }
 
 net::SimTime DagExecutor::fire_scatter_leg(QueryRun& run, TaskId id) {
-  Task& leg = run.tasks[id];
-  Task& scan = run.tasks[leg.scan];
-  const net::NodeAddress prov = scan.chain[leg.position].address;
+  const Task& leg = run.tasks[id];
+  ScanState& s = *run.tasks[leg.scan].state;
+  const sparql::BgpPattern& pattern = run.plan.ops[s.lookup].pattern;
+  const net::NodeAddress prov = s.chain[leg.position].address;
 
   // A retry leg re-ships the sub-query after its backoff (leg.base carries
-  // the backoff-delayed start; first attempts have base == scan.t).
+  // the backoff-delayed start).
   std::optional<obs::SpanScope> retry_span;
   if (leg.attempt > 0) {
     retry_span.emplace(trace_, obs::SpanKind::kRetry,
@@ -654,9 +635,9 @@ net::SimTime DagExecutor::fire_scatter_leg(QueryRun& run, TaskId id) {
   {
     obs::SpanScope ship_span(trace_, obs::SpanKind::kSubQueryShip,
                              "to node " + std::to_string(prov), leg.base,
-                             scan.assembly);
-    t = net().send(scan.assembly, prov, subquery_wire_bytes(scan.pattern),
-                   leg.base, net::Category::kQuery);
+                             s.assembly);
+    t = net().send(s.assembly, prov, subquery_wire_bytes(pattern), leg.base,
+                   net::Category::kQuery);
     ship_span.finish(t);
   }
   t = claim(prov, run.qid, t);
@@ -668,10 +649,10 @@ net::SimTime DagExecutor::fire_scatter_leg(QueryRun& run, TaskId id) {
       // are duplicate-free, so the leg's accumulator prices exactly their
       // encoding.
       sparql::ChainAccumulator shipped(run.dict);
-      shipped.add(*store, scan.pattern);
-      t = net().send(prov, scan.assembly, net::wire::charged_bytes(shipped),
-                     t, net::Category::kData, shipped.byte_size());
-      scan.acc->add(*store, scan.pattern);
+      shipped.add(*store, pattern);
+      t = net().send(prov, s.assembly, net::wire::charged_bytes(shipped), t,
+                     net::Category::kData, shipped.byte_size());
+      s.acc.add(*store, pattern);
     } else if (policy_.retry.enabled() &&
                leg.attempt < policy_.retry.max_retries) {
       // Dead contact with attempts left: hand the slot to a replacement leg
@@ -680,81 +661,64 @@ net::SimTime DagExecutor::fire_scatter_leg(QueryRun& run, TaskId id) {
       ++run.rep.retries;
       exec_span.finish(t);
       if (retry_span.has_value()) retry_span->finish(t);
-      Task redo;
-      redo.kind = TaskKind::kScatterLeg;
-      redo.scan = leg.scan;
-      redo.position = leg.position;
-      redo.attempt = leg.attempt + 1;
-      redo.base = t + policy_.retry.backoff_ms(leg.attempt + 1);
-      redo.parent_span = scan.pattern_span;
       complete(run, id, t);
-      add_task(run, std::move(redo));
+      spawn(run, TaskKind::kScatterLeg, leg.scan, leg.position,
+            leg.attempt + 1, t + policy_.retry.backoff_ms(leg.attempt + 1));
       return t;
     } else {
-      give_up_on_provider(prov, scan.pattern, t, run.initiator, run.rep);
-      ++scan.failed_contacts;
+      give_up_on_provider(prov, pattern, t, run.initiator, run.rep);
+      ++s.failed_contacts;
     }
     exec_span.finish(t);
   }
   if (retry_span.has_value()) retry_span->finish(t);
-  scan.done_at = std::max(scan.done_at, t);
+  s.done_at = std::max(s.done_at, t);
   complete(run, id, t);
 
-  assert(scan.remaining > 0);
-  if (--scan.remaining > 0) return t;
-  if (policy_.retry.relookup && !scan.relooked &&
-      scan.failed_contacts == scan.chain.size()) {
+  assert(s.remaining > 0);
+  if (--s.remaining > 0) return t;
+  if (policy_.retry.relookup && !s.relooked &&
+      s.failed_contacts == s.chain.size()) {
     // Every provider of the row was given up on: fall back to lazy repair +
     // one fresh lookup instead of completing with nothing.
-    spawn_relookup(run, leg.scan, scan.done_at);
+    spawn(run, TaskKind::kRelookup, leg.scan, 0, 0, s.done_at);
     return t;
   }
 
   // Last leg: gather at the assembly site, joining any carried set there.
-  Located out;
-  out.set = take_merged(scan.acc);
-  out.site = scan.assembly;
-  out.ready_at = scan.done_at;
-  if (scan.has_carry) {
+  Located out{take_merged(s.acc), s.assembly, s.done_at};
+  if (s.carry.has_value()) {
     obs::SpanScope ship_span(trace_, obs::SpanKind::kShip,
-                             "carry to assembly", scan.carry.ready_at,
-                             scan.assembly);
+                             "carry to assembly", s.carry->ready_at,
+                             s.assembly);
     // The carry's last reader: a later re-lookup cannot follow the gather.
-    Located c =
-        ship(std::move(scan.carry), scan.assembly, net::Category::kData);
+    Located c = ship(std::move(*s.carry), s.assembly, net::Category::kData);
     ship_span.finish(c.ready_at);
     out.set = sparql::join(c.set, out.set);
     out.ready_at = std::max(out.ready_at, c.ready_at);
   }
-  scan.out = std::move(out);
-  complete(run, leg.scan, scan.out.ready_at);
-  return scan.out.ready_at;
+  return finish_scan(run, leg.scan, std::move(out));
 }
 
 net::SimTime DagExecutor::fire_chain_hop(QueryRun& run, TaskId id) {
-  Task& hop = run.tasks[id];
-  Task& scan = run.tasks[hop.scan];
-  const net::NodeAddress prov = scan.chain[hop.position].address;
+  const Task& hop = run.tasks[id];
+  ScanState& s = *run.tasks[hop.scan].state;
+  const sparql::BgpPattern& pattern = run.plan.ops[s.lookup].pattern;
+  const net::NodeAddress prov = s.chain[hop.position].address;
+  const bool last = hop.position + 1 >= s.chain.size();
 
   // A retry hop re-sends the travelling payload from the previous sender
-  // after its backoff (scan.t carries the backoff-delayed start).
+  // after its backoff (s.t carries the backoff-delayed start).
   std::optional<obs::SpanScope> retry_span;
-  net::SimTime start = scan.t;
+  net::SimTime start = s.t;
   if (hop.attempt > 0) {
     retry_span.emplace(trace_, obs::SpanKind::kRetry,
                        "attempt " + std::to_string(hop.attempt + 1) +
                            " node " + std::to_string(prov),
                        start, prov);
-    const std::size_t payload = subquery_wire_bytes(scan.pattern) +
-                                net::wire::charged_bytes(*scan.acc) +
-                                scan.carry_bytes;
-    const std::size_t raw_payload = subquery_wire_bytes(scan.pattern) +
-                                    scan.acc->byte_size() +
-                                    scan.carry_raw_bytes;
-    start = net().send(scan.sender, prov, payload, start,
-                       hop.position == 0 ? net::Category::kQuery
-                                         : net::Category::kData,
-                       raw_payload);
+    start = send_hop(run, s, prov, start,
+                     hop.position == 0 ? net::Category::kQuery
+                                       : net::Category::kData);
   }
   net::SimTime t = claim(prov, run.qid, start);
   {
@@ -762,189 +726,80 @@ net::SimTime DagExecutor::fire_chain_hop(QueryRun& run, TaskId id) {
                             "node " + std::to_string(prov), t, prov);
     if (const rdf::TripleStore* store = run_at_provider(prov, t, run.rep)) {
       // The accumulator joins with the carry it was given at ship time.
-      scan.acc->add(*store, scan.pattern);
-      scan.site = prov;
-      scan.sender = prov;
+      s.acc.add(*store, pattern);
+      s.site = prov;
+      s.sender = prov;
     } else if (policy_.retry.enabled() &&
                hop.attempt < policy_.retry.max_retries) {
       ++run.rep.retries;
       hop_span.finish(t);
       if (retry_span.has_value()) retry_span->finish(t);
-      scan.t = t + policy_.retry.backoff_ms(hop.attempt + 1);
-      Task redo;
-      redo.kind = TaskKind::kChainHop;
-      redo.scan = hop.scan;
-      redo.position = hop.position;
-      redo.attempt = hop.attempt + 1;
-      redo.base = scan.t;
-      redo.parent_span = scan.pattern_span;
+      s.t = t + policy_.retry.backoff_ms(hop.attempt + 1);
       complete(run, id, t);
-      add_task(run, std::move(redo));
+      spawn(run, TaskKind::kChainHop, hop.scan, hop.position,
+            hop.attempt + 1, s.t);
       return t;
     } else {
-      give_up_on_provider(prov, scan.pattern, t, run.initiator, run.rep);
-      ++scan.failed_contacts;
+      give_up_on_provider(prov, pattern, t, run.initiator, run.rep);
+      ++s.failed_contacts;
     }
-    const bool last = hop.position + 1 >= scan.chain.size();
     if (!last) {
-      const net::NodeAddress next = scan.chain[hop.position + 1].address;
-      const std::size_t payload = subquery_wire_bytes(scan.pattern) +
-                                  net::wire::charged_bytes(*scan.acc) +
-                                  scan.carry_bytes;
-      const std::size_t raw_payload = subquery_wire_bytes(scan.pattern) +
-                                      scan.acc->byte_size() +
-                                      scan.carry_raw_bytes;
-      t = net().send(scan.sender, next, payload, t, net::Category::kData,
-                     raw_payload);
+      t = send_hop(run, s, s.chain[hop.position + 1].address, t,
+                   net::Category::kData);
     }
     hop_span.finish(t);
   }
   if (retry_span.has_value()) retry_span->finish(t);
-  scan.t = t;
+  s.t = t;
   complete(run, id, t);
 
-  const bool last = hop.position + 1 >= scan.chain.size();
   if (!last) {
-    Task next_hop;
-    next_hop.kind = TaskKind::kChainHop;
-    next_hop.scan = hop.scan;
-    next_hop.position = hop.position + 1;
-    next_hop.base = t;
-    next_hop.parent_span = scan.pattern_span;
-    add_task(run, std::move(next_hop));
+    spawn(run, TaskKind::kChainHop, hop.scan, hop.position + 1, 0, t);
     return 0;
   }
-  if (policy_.retry.relookup && !scan.relooked &&
-      scan.failed_contacts == scan.chain.size()) {
+  if (policy_.retry.relookup && !s.relooked &&
+      s.failed_contacts == s.chain.size()) {
     // The whole chain was given up on: lazy repair + one fresh lookup.
-    spawn_relookup(run, hop.scan, t);
+    spawn(run, TaskKind::kRelookup, hop.scan, 0, 0, t);
     return t;
   }
-  scan.out.set = take_merged(scan.acc);
-  scan.out.site = scan.site;
-  scan.out.ready_at = t;
-  complete(run, hop.scan, t);
-  return t;
-}
-
-void DagExecutor::spawn_relookup(QueryRun& run, TaskId scan_id,
-                                 net::SimTime at) {
-  Task rl;
-  rl.kind = TaskKind::kRelookup;
-  rl.scan = scan_id;
-  rl.base = at;
-  rl.parent_span = run.tasks[scan_id].pattern_span;
-  add_task(run, std::move(rl));
+  return finish_scan(run, hop.scan, Located{take_merged(s.acc), s.site, t});
 }
 
 net::SimTime DagExecutor::fire_relookup(QueryRun& run, TaskId id) {
-  Task& rl = run.tasks[id];
-  Task& scan = run.tasks[rl.scan];
-  scan.relooked = true;
+  const Task& rl = run.tasks[id];
+  ScanState& s = *run.tasks[rl.scan].state;
+  s.relooked = true;
   ++run.rep.relookups;
 
   // The give-ups already purged the dead providers from the index row (lazy
   // repair); a fresh lookup returns whatever the repaired row holds now —
   // including providers that recovered and re-published while this scan was
-  // timing out.
-  overlay::HybridOverlay::Located loc =
-      locate(scan.pattern.pattern, run.initiator, rl.base, run.rep);
-
+  // timing out. The re-lookup pops after any injected recovery stamped
+  // before its start.
+  const overlay::HybridOverlay::Located loc = locate(
+      run.plan.ops[s.lookup].pattern.pattern, run.initiator, rl.base, run.rep);
   if (!loc.ok || loc.providers.empty()) {
-    // Nothing came back: the scan completes empty (same formulas as the
-    // empty-providers path of fire_scan). A failed lookup reports
+    // Nothing came back: the scan completes empty. A failed lookup reports
     // completed_at = 0, so clamp to the re-lookup's own start time.
     const net::SimTime done = std::max(rl.base, loc.completed_at);
-    scan.out.set = SolutionSet{};
-    scan.out.site = scan.has_carry ? scan.carry.site : run.initiator;
-    scan.out.ready_at =
-        std::max(done, scan.has_carry ? scan.carry.ready_at : done);
     complete(run, id, done);
-    complete(run, rl.scan, scan.out.ready_at);
-    return scan.out.ready_at;
+    return finish_scan_empty(run, rl.scan, done);
   }
-
-  const bool scatter_gather =
-      scan.strategy == PrimitiveStrategy::kBasic || loc.broadcast;
-  scan.failed_contacts = 0;
-  scan.chain.clear();
-  scan.acc = std::make_unique<sparql::ChainAccumulator>(run.dict);
-
-  if (scatter_gather) {
-    scan.assembly = loc.broadcast ? run.initiator
-                    : overlay_->ring().contains(loc.index_node)
-                        ? overlay_->ring().address_of(loc.index_node)
-                        : run.initiator;
-    scan.chain = loc.providers;
-    scan.remaining = scan.chain.size();
-    scan.t = loc.completed_at;
-    scan.done_at = loc.completed_at;
-    for (std::size_t k = 0; k < scan.chain.size(); ++k) {
-      Task leg;
-      leg.kind = TaskKind::kScatterLeg;
-      leg.scan = rl.scan;
-      leg.position = k;
-      leg.base = loc.completed_at;
-      leg.parent_span = scan.pattern_span;
-      add_task(run, std::move(leg));
-    }
-    complete(run, id, loc.completed_at);
-    return 0;
-  }
-
-  std::vector<overlay::Provider> chain =
-      optimizer::chain_order(loc.providers, scan.strategy);
-  net::NodeAddress owner_addr =
-      overlay_->ring().contains(loc.index_node)
-          ? overlay_->ring().address_of(loc.index_node)
-          : run.initiator;
-  net::SimTime t;
-  {
-    obs::SpanScope ship_span(
-        trace_, obs::SpanKind::kSubQueryShip,
-        "to node " + std::to_string(chain.front().address), loc.completed_at,
-        owner_addr);
-    t = net().send(owner_addr, chain.front().address,
-                   subquery_wire_bytes(scan.pattern), loc.completed_at,
-                   net::Category::kQuery);
-    if (scan.has_carry) {
-      t = std::max(t, net().send(scan.carry.site, chain.front().address,
-                                 net::wire::charged_bytes(scan.carry.set),
-                                 std::max(loc.completed_at,
-                                          scan.carry.ready_at),
-                                 net::Category::kData,
-                                 scan.carry.set.byte_size()));
-      scan.carry_bytes = net::wire::charged_bytes(scan.carry.set);
-      scan.carry_raw_bytes = scan.carry.set.byte_size();
-      scan.acc->set_carry(scan.carry.set);
-    }
-    ship_span.finish(t);
-  }
-  scan.chain = std::move(chain);
-  scan.t = t;
-  scan.sender = owner_addr;
-  scan.site = owner_addr;
-
-  Task hop;
-  hop.kind = TaskKind::kChainHop;
-  hop.scan = rl.scan;
-  hop.position = 0;
-  hop.base = t;
-  hop.parent_span = scan.pattern_span;
-  add_task(run, std::move(hop));
-  complete(run, id, t);
+  complete(run, id, distribute(run, rl.scan, loc, std::nullopt));
   return 0;
 }
 
 net::SimTime DagExecutor::fire_ship(QueryRun& run, TaskId id) {
   Task& task = run.tasks[id];
   Located in = take_output(run, task.deps.front());
-  if (task.quiet_ship || trace_ == nullptr) {
-    task.out = ship(std::move(in), task.ship_target, task.ship_category);
+  // Only the plan's result ship opens a span; DESCRIBE part ships are quiet.
+  if (task.op != run.plan.ship || trace_ == nullptr) {
+    task.out = ship(std::move(in), run.initiator, net::Category::kResult);
   } else {
     obs::SpanScope span(trace_, obs::SpanKind::kShip, "result to initiator",
                         in.ready_at, run.initiator);
-    task.out = ship(std::move(in), task.ship_target, task.ship_category);
+    task.out = ship(std::move(in), run.initiator, net::Category::kResult);
     span.finish(task.out.ready_at);
   }
   complete(run, id, task.out.ready_at);
@@ -1055,7 +910,7 @@ net::SimTime DagExecutor::fire_post(QueryRun& run, TaskId id) {
     // instead of the query's, which holds every scan's.
     run.result.solutions = run.result.solutions.rekeyed(
         std::make_shared<rdf::TermDictionary>());
-    release_sets(run);
+    release_query(run);
     run.rep.response_time = in.ready_at;
     complete(run, id, in.ready_at);
     return in.ready_at;
@@ -1077,47 +932,45 @@ net::SimTime DagExecutor::fire_post(QueryRun& run, TaskId id) {
   const net::SimTime t0 = in.ready_at;
   complete(run, id, t0);
 
+  // Each part's lookup, scan and ship run ops appended to the plan; their
+  // tasks wait on the part's own tasks (`dep`).
+  auto append = [&](PhysicalOp op, TaskKind kind, TaskId dep) {
+    op.id = static_cast<OpId>(run.plan.ops.size());
+    run.plan.ops.push_back(std::move(op));
+    Task t;
+    t.kind = kind;
+    t.op = run.plan.ops.back().id;
+    t.base = t0;
+    t.parent_span = run.root_span;
+    if (dep != kNoTask) t.deps.push_back(dep);
+    return add_task(run, std::move(t));
+  };
   Task gather;
   gather.kind = TaskKind::kDescribeGather;
   gather.base = t0;
   gather.parent_span = run.root_span;
-
   TaskId prev_ship = kNoTask;
   for (const rdf::Term& t : target_set) {
-    gather.targets.push_back(t);
+    run.describe_targets.push_back(t);
     for (const rdf::TriplePattern& tp :
          {rdf::TriplePattern{t, rdf::Variable{"__p"}, rdf::Variable{"__o"}},
           rdf::TriplePattern{rdf::Variable{"__s"}, rdf::Variable{"__p"},
                              t}}) {
-      Task lk;
-      lk.kind = TaskKind::kLookup;
-      lk.pattern = sparql::BgpPattern{tp, nullptr};
-      lk.base = t0;
-      lk.parent_span = run.root_span;
-      if (prev_ship != kNoTask) lk.deps.push_back(prev_ship);
-      TaskId lk_id = add_task(run, std::move(lk));
-
-      Task sc;
-      sc.kind = TaskKind::kScan;
-      sc.pattern = sparql::BgpPattern{tp, nullptr};
-      sc.base = t0;
-      sc.parent_span = run.root_span;
-      sc.deps.push_back(lk_id);
-      TaskId sc_id = add_task(run, std::move(sc));
-
-      Task sh;
-      sh.kind = TaskKind::kShip;
-      sh.quiet_ship = true;  // DESCRIBE part ships open no span
-      sh.ship_target = run.initiator;
-      sh.ship_category = net::Category::kResult;
-      sh.base = t0;
-      sh.parent_span = run.root_span;
-      sh.deps.push_back(sc_id);
-      prev_ship = add_task(run, std::move(sh));
-      gather.parts.push_back(prev_ship);
+      PhysicalOp lookup_op;
+      lookup_op.kind = PhysOpKind::kIndexLookup;
+      lookup_op.pattern = sparql::BgpPattern{tp, nullptr};
+      const TaskId lk = append(std::move(lookup_op), TaskKind::kLookup,
+                               prev_ship);
+      PhysicalOp scan_op;
+      scan_op.kind = PhysOpKind::kProviderScan;
+      scan_op.lookup = run.tasks[lk].op;
+      const TaskId sc = append(std::move(scan_op), TaskKind::kScan, lk);
+      PhysicalOp ship_op;
+      ship_op.kind = PhysOpKind::kShip;
+      prev_ship = append(std::move(ship_op), TaskKind::kShip, sc);
+      gather.deps.push_back(prev_ship);
     }
   }
-  gather.deps = gather.parts;
   run.final_task = add_task(run, std::move(gather));
   return 0;
 }
@@ -1126,10 +979,10 @@ net::SimTime DagExecutor::fire_describe_gather(QueryRun& run, TaskId id) {
   Task& task = run.tasks[id];
   net::SimTime ready = task.base;
   std::set<rdf::Triple> triples;
-  for (std::size_t i = 0; i < task.parts.size(); ++i) {
-    const Located& part = run.tasks[task.parts[i]].out;
+  for (std::size_t i = 0; i < task.deps.size(); ++i) {
+    const Located part = take_output(run, task.deps[i]);
     ready = std::max(ready, part.ready_at);
-    const rdf::Term& t = task.targets[i / 2];
+    const rdf::Term& t = run.describe_targets[i / 2];
     // A part binds two of __s/__p/__o; the described term fills the third.
     const SolutionSet& set = part.set;
     const std::array<std::size_t, 3> cols = {
@@ -1146,7 +999,7 @@ net::SimTime DagExecutor::fire_describe_gather(QueryRun& run, TaskId id) {
   }
   run.result.form = sparql::QueryForm::kDescribe;
   run.result.graph.assign(triples.begin(), triples.end());
-  release_sets(run);
+  release_query(run);
   run.rep.response_time = ready;
   complete(run, id, ready);
   return ready;

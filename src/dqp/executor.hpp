@@ -24,7 +24,9 @@
 // Dynamic expansion: chain hops, scatter legs and DESCRIBE part queries
 // depend on runtime information (provider lists, join order, result
 // bindings), so those tasks are spawned at fire time; their ids are
-// assigned in deterministic creation order.
+// assigned in deterministic creation order. A DESCRIBE part's lookup, scan
+// and ship are appended to the query's plan as ops, so every lookup, scan
+// and ship task reads its pattern and settings through its op.
 //
 // Contention: with BatchOptions::service.service_ms > 0, a provider node
 // serving one query delays work arriving from *other* queries until it is
@@ -131,59 +133,59 @@ class DagExecutor {
     kDescribeGather,  // dynamic: assemble DESCRIBE part results
   };
 
-  /// Runtime state shared by the slots of one conjunction (owned by slot 0).
-  struct GroupState {
-    std::vector<std::size_t> order;  // join order over bgp positions
+  /// Runtime state of one scan, from its fire until it completes: the
+  /// strategy, the merge accumulator, the provider chain or scatter legs
+  /// and the set carried in from the previous conjunction slot. The scan
+  /// task holds it and releases it when the scan completes, so the legs,
+  /// hops and re-lookup it spawns carry none of it.
+  struct ScanState {
+    explicit ScanState(std::shared_ptr<rdf::TermDictionary> dict)
+        : acc(std::move(dict)) {}
+
+    OpId lookup = kNoOp;  // the lookup op: the scan's pattern and its row
+    /// Chosen when the scan fires; a re-lookup distributes with it again.
+    optimizer::PrimitiveStrategy strategy =
+        optimizer::PrimitiveStrategy::kBasic;
+    obs::SpanId pattern_span = obs::kNoSpan;
+    std::optional<Located> carry;     // conjunction slot > 0: the set so far
+    std::size_t carry_bytes = 0;      // wire (charged) size of the carry
+    std::size_t carry_raw_bytes = 0;  // uncompressed counterpart
+    /// The scatter/chain merge, handed over once when the scan completes.
+    sparql::ChainAccumulator acc;
+    std::vector<overlay::Provider> chain;         // providers in visit order
+    net::NodeAddress assembly = net::kNoAddress;  // scatter: gather site
+    std::size_t remaining = 0;                    // outstanding scatter legs
+    net::SimTime done_at = 0;                     // scatter completion max
+    net::SimTime t = 0;                           // chain clock
+    net::NodeAddress sender = net::kNoAddress;    // chain: last sender
+    net::NodeAddress site = net::kNoAddress;      // chain: where the set is
+    std::size_t failed_contacts = 0;              // providers given up on
+    bool relooked = false;                        // re-lookup already spent
   };
 
-  /// One schedulable unit. Static tasks mirror plan ops one-to-one (task id
-  /// == op id); dynamic tasks carry their payload inline (op == kNoOp).
+  /// One schedulable unit: the scheduling header every kind keeps. Every
+  /// lookup, scan, ship, set operator and modifier task runs a plan op;
+  /// the static ones are created in op order, so their id is their op's.
   struct Task {
     TaskKind kind = TaskKind::kConst;
+    bool done = false;
+    bool taken = false;  // `out` handed to its one data reader
     OpId op = kNoOp;
+    std::uint32_t pending = 0;
     std::vector<TaskId> deps;
     std::vector<TaskId> dependents;
-    std::uint32_t pending = 0;
-    bool done = false;
     net::SimTime base = 0;     // earliest logical start (0 / DESCRIBE t0)
     net::SimTime finish = 0;   // when done: drives dependents' event times
     obs::SpanId parent_span = obs::kNoSpan;  // reopened around this fire
-
     Located out;
-    overlay::HybridOverlay::Located loc;  // kLookup output
 
-    // Dynamic payloads / runtime scan state.
-    sparql::BgpPattern pattern;
-    TaskId scan = kNoTask;      // kScatterLeg / kChainHop / kRelookup: owner
-    std::size_t position = 0;   // provider index within the scan
-    int attempt = 0;            // leg/hop: contacts of this slot so far
-    bool quiet_ship = false;    // kShip without a span (DESCRIBE parts)
-    net::Category ship_category = net::Category::kResult;
-    net::NodeAddress ship_target = net::kNoAddress;
+    // kScatterLeg / kChainHop / kRelookup: the owning scan, the provider's
+    // index within it and the contacts of this slot so far.
+    TaskId scan = kNoTask;
+    std::uint32_t position = 0;
+    int attempt = 0;
 
-    std::unique_ptr<GroupState> group;  // kScan slot 0 of a conjunction
-    obs::SpanId pattern_span = obs::kNoSpan;
-    bool has_carry = false;
-    Located carry;
-    std::size_t carry_bytes = 0;      // wire (charged) size of the carry
-    std::size_t carry_raw_bytes = 0;  // uncompressed counterpart
-    net::NodeAddress assembly = net::kNoAddress;
-    std::size_t remaining = 0;               // outstanding scatter legs
-    /// Scatter/chain merge accumulator, created when the scan distributes
-    /// its sub-query and handed over once when the scan completes.
-    std::unique_ptr<sparql::ChainAccumulator> acc;
-    net::SimTime done_at = 0;                // scatter completion max
-    std::vector<overlay::Provider> chain;    // providers in visit order
-    net::SimTime t = 0;                      // chain clock / scatter start
-    net::NodeAddress sender = net::kNoAddress;
-    net::NodeAddress site = net::kNoAddress;
-    std::size_t failed_contacts = 0;  // scan: providers given up on
-    bool relooked = false;            // scan: lazy re-lookup already spent
-    optimizer::PrimitiveStrategy strategy =
-        optimizer::PrimitiveStrategy::kBasic;  // scan: chosen at fire time
-
-    std::vector<TaskId> parts;       // kDescribeGather: part ships in order
-    std::vector<rdf::Term> targets;  // kDescribeGather: described terms
+    std::unique_ptr<ScanState> state;  // kScan, until it completes
   };
 
   struct QueryRun {
@@ -196,8 +198,18 @@ class DagExecutor {
         std::make_shared<rdf::TermDictionary>();
     sparql::Query query;
     net::NodeAddress initiator = net::kNoAddress;
+    /// The compiled plan, with each DESCRIBE part's lookup, scan and ship
+    /// ops appended when the expansion runs.
     PhysicalPlan plan;
     std::deque<Task> tasks;  // deque: fires append while holding references
+    /// Location rows by lookup op: the scans of a conjunction read every
+    /// lookup of their BGP when they fire.
+    std::map<OpId, overlay::HybridOverlay::Located> located;
+    /// Join order over the BGP positions of each conjunction, by its slot-0
+    /// op: resolved when slot 0 fires, read by every later slot.
+    std::map<OpId, std::vector<std::size_t>> join_orders;
+    /// DESCRIBE: the described terms; term i fills part ships 2i and 2i+1.
+    std::vector<rdf::Term> describe_targets;
     ExecutionReport rep;
     obs::SpanId root_span = obs::kNoSpan;
     sparql::QueryResult result;
@@ -207,6 +219,10 @@ class DagExecutor {
   // Setup.
   void setup_query(QueryRun& run);
   TaskId add_task(QueryRun& run, Task t);
+  /// Spawn a leg, hop or re-lookup of scan `scan_id`, starting at `base`
+  /// under the scan's pattern span.
+  void spawn(QueryRun& run, TaskKind kind, TaskId scan_id,
+             std::uint32_t position, int attempt, net::SimTime base);
   void schedule(QueryRun& run, TaskId id);
   void complete(QueryRun& run, TaskId id, net::SimTime finish);
 
@@ -226,13 +242,32 @@ class DagExecutor {
   net::SimTime fire_describe_gather(QueryRun& run, TaskId id);
 
   // Primitives shared by the fire handlers.
-  /// The output of finished task `producer` for a consumer: moved out when
-  /// the consumer is its only dependent, copied otherwise.
+  /// The output of finished task `producer`, moved to its consumer. The
+  /// plan is a tree, so every output has one data reader; control and
+  /// preferred-end edges read only `out.site`, which a move leaves intact.
   static Located take_output(QueryRun& run, TaskId producer);
-  /// Once a query's result is delivered, its intermediate sets are dead:
-  /// drop them, and with them the query dictionary, so a closed batch does
-  /// not hold every finished query's scan terms until it ends.
-  static void release_sets(QueryRun& run);
+  /// Once a query's result is delivered, drop what only its execution
+  /// read: the query dictionary, the location rows and the join orders.
+  /// Its sets are gone already, each moved to its consumer, so a closed
+  /// batch does not hold every finished query's scan terms until it ends.
+  static void release_query(QueryRun& run);
+  /// Start scan `id`'s distribution over the providers of `loc`: spawn one
+  /// scatter leg per provider, or ship the sub-query and any carry to the
+  /// first provider of the chain (ending at `pend` when overlap-aware) and
+  /// spawn its first hop. Returns when the distribution left.
+  net::SimTime distribute(QueryRun& run, TaskId id,
+                          const overlay::HybridOverlay::Located& loc,
+                          std::optional<net::NodeAddress> pend);
+  /// Send the chain's travelling payload — the sub-query, the rows merged
+  /// so far and the carry — from its last sender to `to`.
+  net::SimTime send_hop(const QueryRun& run, const ScanState& s,
+                        net::NodeAddress to, net::SimTime at,
+                        net::Category category);
+  /// Complete scan `id` with `out` and release its state.
+  net::SimTime finish_scan(QueryRun& run, TaskId id, Located out);
+  /// Complete scan `id` with no rows, at `at` or when its carry is ready:
+  /// at the carry's site when it carries one, else at the initiator.
+  net::SimTime finish_scan_empty(QueryRun& run, TaskId id, net::SimTime at);
   overlay::HybridOverlay::Located locate(const rdf::TriplePattern& p,
                                          net::NodeAddress initiator,
                                          net::SimTime now,
@@ -251,10 +286,6 @@ class DagExecutor {
   void give_up_on_provider(net::NodeAddress provider,
                            const sparql::BgpPattern& p, net::SimTime now,
                            net::NodeAddress initiator, ExecutionReport& rep);
-  /// Spawn the scan's one lazy-repair re-lookup task at `at`. It pops after
-  /// any injected recovery stamped before `at`, so a re-lookup can see
-  /// providers that came back while the scan was timing out.
-  void spawn_relookup(QueryRun& run, TaskId scan_id, net::SimTime at);
   std::pair<Located, Located> colocate(Located a, Located b,
                                        net::NodeAddress initiator,
                                        ExecutionReport& rep);

@@ -12,7 +12,6 @@ std::string_view phys_op_kind_name(PhysOpKind k) noexcept {
     case PhysOpKind::kConst: return "Const";
     case PhysOpKind::kIndexLookup: return "IndexLookup";
     case PhysOpKind::kProviderScan: return "ProviderScan";
-    case PhysOpKind::kChainHop: return "ChainHop";
     case PhysOpKind::kShip: return "Ship";
     case PhysOpKind::kJoin: return "Join";
     case PhysOpKind::kLeftJoin: return "LeftJoin";
@@ -203,8 +202,6 @@ struct Compiler {
              std::to_string(op.group_size) + ", order=" + order +
              ", strategy=" + strat + end + "]";
     }
-    case PhysOpKind::kChainHop:
-      return "ChainHop";
     case PhysOpKind::kShip:
       return "Ship [result -> initiator]";
     case PhysOpKind::kJoin:

@@ -11,10 +11,12 @@
 //   - *static* operators, compiled here, mirror the algebra one-to-one
 //     (IndexLookup, ProviderScan, Join, LeftJoin, Union, Minus, Filter,
 //     Modifier, Ship, PostProcess);
-//   - *dynamic* tasks (ChainHop, per-provider scatter legs, DESCRIBE
-//     expansion) are spawned by the executor at fire time, because chain
-//     membership and join order depend on runtime index lookups. The kinds
-//     still live in this enum so traces and renderings share one vocabulary.
+//   - *dynamic* tasks (chain hops, per-provider scatter legs, lazy-repair
+//     re-lookups, the DESCRIBE gather) are spawned by the executor at fire
+//     time, because chain membership and join order depend on runtime
+//     index lookups. They are executor task kinds, not operators: no plan
+//     holds them. A DESCRIBE expansion appends its parts' lookup, scan and
+//     ship operators to the running query's plan.
 #pragma once
 
 #include <cstdint>
@@ -91,7 +93,6 @@ enum class PhysOpKind : std::uint8_t {
   kConst,        // empty BGP: yields the single empty solution at t0
   kIndexLookup,  // resolve one triple pattern through the two-level index
   kProviderScan, // evaluate one pattern at its providers (strategy-driven)
-  kChainHop,     // dynamic: one provider visit of a chain
   kShip,         // move a solution set between sites
   kJoin,
   kLeftJoin,
