@@ -16,9 +16,7 @@ std::string_view phys_op_kind_name(PhysOpKind k) noexcept {
     case PhysOpKind::kJoin: return "Join";
     case PhysOpKind::kLeftJoin: return "LeftJoin";
     case PhysOpKind::kUnion: return "Union";
-    case PhysOpKind::kMinus: return "Minus";
     case PhysOpKind::kFilter: return "Filter";
-    case PhysOpKind::kModifier: return "Modifier";
     case PhysOpKind::kPostProcess: return "PostProcess";
   }
   assert(false && "phys_op_kind_name: unnamed PhysOpKind enumerator");
@@ -155,21 +153,9 @@ struct Compiler {
         op.expr = a.expr;
         return add(std::move(op));
       }
-
-      default: {
-        // In-tree solution modifiers (full translate() output).
-        OpId c = compile(*a.left, pend, barrier);
-        PhysicalOp op;
-        op.kind = PhysOpKind::kModifier;
-        op.inputs = {c};
-        op.modifier = a.kind;
-        op.vars = a.vars;
-        op.order = a.order;
-        op.offset = a.offset;
-        op.limit = a.limit;
-        return add(std::move(op));
-      }
     }
+    assert(false && "compile: unhandled AlgebraKind");
+    return kNoOp;
   }
 };
 
@@ -212,40 +198,9 @@ struct Compiler {
     case PhysOpKind::kUnion:
       return std::string("Union [colocate=") + colocate +
              (pol.overlap_aware_sites ? ", overlap-aware ends]" : "]");
-    case PhysOpKind::kMinus:
-      return "Minus [site=" + colocate + "]";
     case PhysOpKind::kFilter:
       return "Filter " +
              (op.expr != nullptr ? op.expr->to_string() : "true");
-    case PhysOpKind::kModifier:
-      switch (op.modifier) {
-        case AlgebraKind::kProject: {
-          std::string vars;
-          for (const std::string& v : op.vars) {
-            vars += (vars.empty() ? "?" : " ?") + v;
-          }
-          return "Project [" + vars + "]";
-        }
-        case AlgebraKind::kDistinct:
-          return "Distinct";
-        case AlgebraKind::kReduced:
-          return "Reduced";
-        case AlgebraKind::kOrderBy: {
-          std::string keys;
-          for (const sparql::OrderCondition& c : op.order) {
-            if (!keys.empty()) keys += ", ";
-            keys += c.expr->to_string();
-            keys += c.ascending ? " asc" : " desc";
-          }
-          return "OrderBy [" + keys + "]";
-        }
-        case AlgebraKind::kSlice:
-          return "Slice [offset=" + std::to_string(op.offset) + ", limit=" +
-                 (op.limit.has_value() ? std::to_string(*op.limit) : "-") +
-                 "]";
-        default:
-          return "Modifier";
-      }
     case PhysOpKind::kPostProcess:
       return plan.form == sparql::QueryForm::kDescribe
                  ? "PostProcess [DESCRIBE expansion @ initiator]"

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -97,10 +96,8 @@ enum class PhysOpKind : std::uint8_t {
   kJoin,
   kLeftJoin,
   kUnion,
-  kMinus,        // algebra never emits it today; executor supports it
   kFilter,
-  kModifier,     // in-tree Project/Distinct/Reduced/OrderBy/Slice
-  kPostProcess,  // final modifiers / DESCRIBE expansion at the initiator
+  kPostProcess,  // solution modifiers / DESCRIBE expansion at the initiator
 };
 
 [[nodiscard]] std::string_view phys_op_kind_name(PhysOpKind k) noexcept;
@@ -141,13 +138,6 @@ struct PhysicalOp {
 
   // kFilter condition / kLeftJoin condition (null means `true`):
   sparql::ExprPtr expr;
-
-  // kModifier payload (mirrors the algebra node):
-  sparql::AlgebraKind modifier = sparql::AlgebraKind::kProject;
-  std::vector<std::string> vars;
-  std::vector<sparql::OrderCondition> order;
-  std::uint64_t offset = 0;
-  std::optional<std::uint64_t> limit;
 };
 
 /// A compiled query plan: `ops` in topological order (inputs precede
@@ -166,9 +156,9 @@ struct PhysicalPlan {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Compile the optimized algebra into a physical plan. `a` must be the
-/// *pattern* part (translate_pattern + filter pushing), not the full
-/// modifier stack — post-processing is always the plan's sink op.
+/// Compile the optimized algebra (translate_pattern + filter pushing) into
+/// a physical plan. The solution modifiers are no operator of their own:
+/// post-processing, the plan's sink op, applies them (finalize_result).
 [[nodiscard]] PhysicalPlan compile_physical_plan(const sparql::Algebra& a,
                                                  const ExecutionPolicy& policy,
                                                  sparql::QueryForm form);

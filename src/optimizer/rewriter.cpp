@@ -1,6 +1,7 @@
 #include "optimizer/rewriter.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace ahsw::optimizer {
 
@@ -186,33 +187,9 @@ AlgebraPtr sink(const AlgebraPtr& a, std::vector<ExprPtr> conjuncts,
       ExprPtr remaining = combine_conjuncts(here);
       return remaining == nullptr ? out : Algebra::make_filter(remaining, out);
     }
-
-    default: {
-      // Slice does not commute with filtering: keep conjuncts above it.
-      if (a->kind == AlgebraKind::kSlice) {
-        auto copy = std::make_shared<Algebra>(*a);
-        copy->left = rewrite(a->left);
-        AlgebraPtr out = copy;
-        ExprPtr remaining = combine_conjuncts(conjuncts);
-        return remaining == nullptr ? out
-                                    : Algebra::make_filter(remaining, out);
-      }
-      // Other modifier nodes commute with filters: recurse into the child,
-      // re-apply any conjuncts that could not sink.
-      std::vector<ExprPtr> rest;
-      AlgebraPtr child =
-          a->left != nullptr ? sink(a->left, std::move(conjuncts), rest)
-                             : nullptr;
-      ExprPtr remaining = combine_conjuncts(rest);
-      if (remaining != nullptr) {
-        child = Algebra::make_filter(remaining, child);
-      }
-      auto copy = std::make_shared<Algebra>(*a);
-      copy->left = child;
-      if (a->right != nullptr) copy->right = rewrite(a->right);
-      return copy;
-    }
   }
+  assert(false && "sink: unhandled AlgebraKind");
+  return a;
 }
 
 }  // namespace

@@ -85,44 +85,6 @@ AlgebraPtr Algebra::make_filter(ExprPtr condition, AlgebraPtr inner) {
   return a;
 }
 
-AlgebraPtr Algebra::make_project(std::vector<std::string> vars,
-                                 AlgebraPtr inner) {
-  std::shared_ptr<Algebra> a = node(AlgebraKind::kProject);
-  a->vars = std::move(vars);
-  a->left = std::move(inner);
-  return a;
-}
-
-AlgebraPtr Algebra::make_distinct(AlgebraPtr inner) {
-  std::shared_ptr<Algebra> a = node(AlgebraKind::kDistinct);
-  a->left = std::move(inner);
-  return a;
-}
-
-AlgebraPtr Algebra::make_reduced(AlgebraPtr inner) {
-  std::shared_ptr<Algebra> a = node(AlgebraKind::kReduced);
-  a->left = std::move(inner);
-  return a;
-}
-
-AlgebraPtr Algebra::make_order_by(std::vector<OrderCondition> order,
-                                  AlgebraPtr inner) {
-  std::shared_ptr<Algebra> a = node(AlgebraKind::kOrderBy);
-  a->order = std::move(order);
-  a->left = std::move(inner);
-  return a;
-}
-
-AlgebraPtr Algebra::make_slice(std::uint64_t offset,
-                               std::optional<std::uint64_t> limit,
-                               AlgebraPtr inner) {
-  std::shared_ptr<Algebra> a = node(AlgebraKind::kSlice);
-  a->offset = offset;
-  a->limit = limit;
-  a->left = std::move(inner);
-  return a;
-}
-
 std::set<std::string> Algebra::certain_variables() const {
   std::set<std::string> out;
   switch (kind) {
@@ -135,8 +97,9 @@ std::set<std::string> Algebra::certain_variables() const {
       out.insert(r.begin(), r.end());
       return out;
     }
-    case AlgebraKind::kLeftJoin:
-      return left->certain_variables();  // right side is optional
+    case AlgebraKind::kLeftJoin:  // the right side is optional
+    case AlgebraKind::kFilter:
+      return left->certain_variables();
     case AlgebraKind::kUnion: {
       // Only variables certain in BOTH branches are certain overall.
       std::set<std::string> l = left->certain_variables();
@@ -146,38 +109,8 @@ std::set<std::string> Algebra::certain_variables() const {
       }
       return out;
     }
-    case AlgebraKind::kProject: {
-      std::set<std::string> inner = left->certain_variables();
-      for (const std::string& v : vars) {
-        if (inner.count(v) > 0) out.insert(v);
-      }
-      return out;
-    }
-    default:
-      return left != nullptr ? left->certain_variables() : out;
   }
-}
-
-std::set<std::string> Algebra::all_variables() const {
-  std::set<std::string> out;
-  switch (kind) {
-    case AlgebraKind::kBgp:
-      for (const BgpPattern& p : bgp) pattern_vars(p.pattern, out);
-      return out;
-    case AlgebraKind::kProject:
-      return {vars.begin(), vars.end()};
-    default: {
-      if (left != nullptr) {
-        std::set<std::string> l = left->all_variables();
-        out.insert(l.begin(), l.end());
-      }
-      if (right != nullptr) {
-        std::set<std::string> r = right->all_variables();
-        out.insert(r.begin(), r.end());
-      }
-      return out;
-    }
-  }
+  return out;
 }
 
 std::string Algebra::to_string() const {
@@ -199,32 +132,6 @@ std::string Algebra::to_string() const {
       return "Union(" + left->to_string() + ", " + right->to_string() + ")";
     case AlgebraKind::kFilter:
       return "Filter(" + expr->to_string() + ", " + left->to_string() + ")";
-    case AlgebraKind::kProject: {
-      std::string out = "Project((";
-      for (std::size_t i = 0; i < vars.size(); ++i) {
-        if (i != 0) out += " ";
-        out += "?" + vars[i];
-      }
-      return out + "), " + left->to_string() + ")";
-    }
-    case AlgebraKind::kDistinct:
-      return "Distinct(" + left->to_string() + ")";
-    case AlgebraKind::kReduced:
-      return "Reduced(" + left->to_string() + ")";
-    case AlgebraKind::kOrderBy: {
-      std::string out = "OrderBy((";
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        if (i != 0) out += " ";
-        out += (order[i].ascending ? "asc" : "desc") + std::string("(") +
-               order[i].expr->to_string() + ")";
-      }
-      return out + "), " + left->to_string() + ")";
-    }
-    case AlgebraKind::kSlice: {
-      std::string out = "Slice(" + std::to_string(offset) + ", ";
-      out += limit.has_value() ? std::to_string(*limit) : std::string("*");
-      return out + ", " + left->to_string() + ")";
-    }
   }
   return {};
 }
@@ -278,25 +185,6 @@ AlgebraPtr translate_pattern(const GroupPattern& group) {
     }
   }
   return acc;
-}
-
-AlgebraPtr translate(const Query& q) {
-  AlgebraPtr a = translate_pattern(q.where);
-  if (!q.order_by.empty()) {
-    a = Algebra::make_order_by(q.order_by, a);
-  }
-  if (q.form == QueryForm::kSelect && !q.select_all) {
-    a = Algebra::make_project(q.select_vars, a);
-  }
-  if (q.distinct) {
-    a = Algebra::make_distinct(a);
-  } else if (q.reduced) {
-    a = Algebra::make_reduced(a);
-  }
-  if (q.offset != 0 || q.limit.has_value()) {
-    a = Algebra::make_slice(q.offset, q.limit, a);
-  }
-  return a;
 }
 
 }  // namespace ahsw::sparql

@@ -1,16 +1,17 @@
 // SPARQL algebra and the Query Transformation stage (Fig. 3).
 //
-// The parsed AST is translated into algebra expressions following the W3C
-// recommendation's ToAlgebra rules and the notation of Perez et al. that the
-// paper uses: AND -> Join, UNION -> Union, OPT -> LeftJoin, FILTER ->
-// Filter, with adjacent triple patterns fused into one BGP. E.g. Fig. 9
-// becomes `Filter(C1, LeftJoin(BGP(P1 . P2), BGP(P3), true))` and, after
-// filter pushing, `LeftJoin(BGP(Filter(C1, P1) . P2), BGP(P3), true)`.
+// The WHERE pattern of a parsed query is translated into algebra
+// expressions following the W3C recommendation's ToAlgebra rules and the
+// notation of Perez et al. that the paper uses: AND -> Join, UNION ->
+// Union, OPT -> LeftJoin, FILTER -> Filter, with adjacent triple patterns
+// fused into one BGP. E.g. Fig. 9 becomes
+// `Filter(C1, LeftJoin(BGP(P1 . P2), BGP(P3), true))` and, after filter
+// pushing, `LeftJoin(BGP(Filter(C1, P1) . P2), BGP(P3), true)`. The
+// solution modifiers are not algebra: the initiator applies them once, in
+// post-processing (finalize_result).
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -27,11 +28,6 @@ enum class AlgebraKind {
   kLeftJoin,  // LeftJoin(left, right, expr)  -- expr == nullptr means `true`
   kUnion,     // Union(left, right)
   kFilter,    // Filter(expr, left)
-  kProject,   // Project(vars, left)
-  kDistinct,
-  kReduced,
-  kOrderBy,   // OrderBy(conditions, left)
-  kSlice,     // Slice(offset, limit, left)
 };
 
 struct Algebra;
@@ -53,13 +49,9 @@ struct Algebra {
   AlgebraKind kind = AlgebraKind::kBgp;
 
   std::vector<BgpPattern> bgp;          // kBgp
-  AlgebraPtr left;                      // all unary/binary kinds
+  AlgebraPtr left;                      // all kinds but kBgp
   AlgebraPtr right;                     // binary kinds
   ExprPtr expr;                         // kFilter / kLeftJoin condition
-  std::vector<std::string> vars;        // kProject
-  std::vector<OrderCondition> order;    // kOrderBy
-  std::uint64_t offset = 0;             // kSlice
-  std::optional<std::uint64_t> limit;   // kSlice
 
   [[nodiscard]] static AlgebraPtr make_bgp(
       std::vector<rdf::TriplePattern> patterns);
@@ -69,34 +61,18 @@ struct Algebra {
                                                  ExprPtr condition);
   [[nodiscard]] static AlgebraPtr make_union(AlgebraPtr l, AlgebraPtr r);
   [[nodiscard]] static AlgebraPtr make_filter(ExprPtr condition, AlgebraPtr a);
-  [[nodiscard]] static AlgebraPtr make_project(std::vector<std::string> vars,
-                                               AlgebraPtr a);
-  [[nodiscard]] static AlgebraPtr make_distinct(AlgebraPtr a);
-  [[nodiscard]] static AlgebraPtr make_reduced(AlgebraPtr a);
-  [[nodiscard]] static AlgebraPtr make_order_by(
-      std::vector<OrderCondition> order, AlgebraPtr a);
-  [[nodiscard]] static AlgebraPtr make_slice(std::uint64_t offset,
-                                             std::optional<std::uint64_t> limit,
-                                             AlgebraPtr a);
 
   /// Variables this sub-expression is guaranteed to bind in every solution
   /// ("certain" variables; OPTIONAL right sides are excluded). Drives
   /// filter-pushing safety checks.
   [[nodiscard]] std::set<std::string> certain_variables() const;
 
-  /// All variables that may appear in solutions of this sub-expression.
-  [[nodiscard]] std::set<std::string> all_variables() const;
-
   /// Textual form in the paper's notation (see file comment).
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Translate the WHERE clause of a parsed query (ToAlgebra): the graph
-/// pattern part only, without solution modifiers.
+/// Translate the WHERE clause of a parsed query (ToAlgebra). Every plan is
+/// compiled from this; the solution modifiers stay out of the algebra.
 [[nodiscard]] AlgebraPtr translate_pattern(const GroupPattern& group);
-
-/// Full translation including solution sequence modifiers and projection:
-/// Slice(Distinct(Project(OrderBy(Filter(...BGP...))))), innermost first.
-[[nodiscard]] AlgebraPtr translate(const Query& q);
 
 }  // namespace ahsw::sparql

@@ -228,35 +228,15 @@ SolutionSet LocalEngine::evaluate(const Algebra& a) const {
       return set_union(evaluate(*a.left), evaluate(*a.right));
     case AlgebraKind::kFilter:
       return filter_set(evaluate(*a.left), *a.expr);
-    case AlgebraKind::kProject: {
-      SolutionSet in = evaluate(*a.left);
-      in.project(a.vars);
-      return in;
-    }
-    case AlgebraKind::kDistinct:
-      return deduplicated(evaluate(*a.left));
-    case AlgebraKind::kReduced: {
-      SolutionSet in = evaluate(*a.left);
-      in.keep_rows(unique_rows(in, identity_order(in), true));
-      return in;
-    }
-    case AlgebraKind::kOrderBy: {
-      SolutionSet in = evaluate(*a.left);
-      order_solutions(in, a.order);
-      return in;
-    }
-    case AlgebraKind::kSlice: {
-      SolutionSet in = evaluate(*a.left);
-      in.slice(a.offset, a.limit);
-      return in;
-    }
   }
   return {};
 }
 
 namespace {
 
-/// The row indexes of `set` in ORDER BY order (see order_solutions).
+/// The row indexes of `set` in ORDER BY order, ties kept in input order.
+/// Each key is evaluated once per distinct id tuple of its variables, not
+/// per comparison.
 std::vector<std::size_t> solution_order(
     const SolutionSet& set, const std::vector<OrderCondition>& order) {
   constexpr std::uint32_t kNoSlot = 0xffffffffu;
@@ -355,11 +335,6 @@ std::vector<std::size_t> solution_order(
 }
 
 }  // namespace
-
-void order_solutions(SolutionSet& set,
-                     const std::vector<OrderCondition>& order) {
-  set.keep_rows(solution_order(set, order));
-}
 
 std::size_t QueryResult::byte_size() const noexcept {
   std::size_t n = solutions.byte_size() + 1;

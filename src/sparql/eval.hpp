@@ -69,22 +69,15 @@ struct QueryResult {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Sort `set` according to ORDER BY conditions (stable). SPARQL 1.1
-/// §15.1: errors and unbound sort lowest, then blank nodes, IRIs and
-/// literals; within a kind, numeric values compare numerically, the rest
-/// by surface form. Each key is evaluated once per distinct id tuple of
-/// its variables, not per comparison. Exposed for reuse by the
-/// distributed post-processing stage.
-void order_solutions(SolutionSet& set,
-                     const std::vector<OrderCondition>& order);
-
 /// Add to `out` every term `s` binds `var` to (DESCRIBE targets).
 void bound_terms(const SolutionSet& s, std::string_view var,
                  std::set<rdf::Term>& out);
 
-/// Apply Project/Distinct/Reduced/OrderBy/Slice modifiers of `q` to a raw
-/// pattern-matching result (used by the distributed processor's
-/// post-processing stage at the query initiator).
+/// Apply the solution modifiers of `q` — ORDER BY, projection,
+/// DISTINCT/REDUCED, OFFSET/LIMIT — to a raw pattern-matching result, or
+/// build its ASK/CONSTRUCT/DESCRIBE answer. The one place modifiers are
+/// applied: the distributed processor's post-processing stage at the query
+/// initiator and execute_local both end here.
 [[nodiscard]] QueryResult finalize_result(const Query& q, SolutionSet raw,
                                           const rdf::TripleStore* store);
 

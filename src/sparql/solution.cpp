@@ -228,22 +228,6 @@ void SolutionSet::keep_rows(const std::vector<std::size_t>& order) {
   drop_unbound_columns();
 }
 
-void SolutionSet::slice(std::uint64_t offset,
-                        std::optional<std::uint64_t> limit) {
-  const std::size_t from = std::min<std::uint64_t>(rows_, offset);
-  std::size_t to = rows_;
-  if (limit.has_value()) to = std::min<std::uint64_t>(to, from + *limit);
-  if (from == 0 && to == rows_) return;
-  cells_.erase(cells_.begin() + static_cast<std::ptrdiff_t>(to * width()),
-               cells_.end());
-  cells_.erase(cells_.begin(),
-               cells_.begin() + static_cast<std::ptrdiff_t>(from * width()));
-  rows_ = to - from;
-  cached_bytes_ = kDirty;
-  wire_cached_ = 0;
-  drop_unbound_columns();
-}
-
 void SolutionSet::drop_unbound_columns() {
   const std::size_t width = vars_.size();
   if (width == 0) return;

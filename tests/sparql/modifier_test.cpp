@@ -252,9 +252,11 @@ TEST(Modifiers, MemoizedOrderEqualsPerComparisonSort) {
                          }
                          return false;
                        });
-      SolutionSet sorted = s;
-      order_solutions(sorted, order);
-      ASSERT_EQ(sorted.bindings(), expected) << "trial " << trial;
+      Query q;
+      q.select_vars = {"id", "x", "y"};
+      q.order_by = order;
+      const QueryResult sorted = finalize_result(q, s, nullptr);
+      ASSERT_EQ(sorted.solutions.bindings(), expected) << "trial " << trial;
     }
   }
 }
