@@ -1,9 +1,9 @@
 #include "sparql/accumulator.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <numeric>
 
-#include "common/hash.hpp"
 #include "common/varint.hpp"
 #include "sparql/eval.hpp"
 
@@ -13,17 +13,10 @@ namespace {
 
 using rdf::TermId;
 inline constexpr TermId kUnbound = rdf::kInvalidTermId;
-inline constexpr std::size_t kNoCol = static_cast<std::size_t>(-1);
 inline constexpr std::uint32_t kEmptySlot = 0xffffffffu;
 /// Rank of a term no row binds yet / of one bound since the last fold.
 inline constexpr std::uint32_t kNoRank = 0xffffffffu;
 inline constexpr std::uint32_t kPending = 0xfffffffeu;
-
-std::uint64_t hash_ids(const TermId* ids, std::size_t n) noexcept {
-  std::uint64_t h = n;
-  for (std::size_t i = 0; i < n; ++i) h = common::mix64(h ^ ids[i]);
-  return h;
-}
 
 /// Insert a variable into a sorted schema; returns its column.
 std::size_t schema_insert(std::vector<std::string>& vars,
@@ -123,54 +116,25 @@ ChainAccumulator::ChainAccumulator(std::shared_ptr<rdf::TermDictionary> dict)
 }
 
 void ChainAccumulator::set_carry(const SolutionSet& carry) {
-  const bool shared =
-      carry.dictionary() == nullptr || carry.dictionary() == dict_;
-  const SolutionSet rekeyed = shared ? SolutionSet{} : carry.rekeyed(dict_);
-  const SolutionSet& c = shared ? carry : rekeyed;
-  carry_.vars = c.vars();
-  carry_.cells = c.cells();
-  carry_.rows = c.size();
-  carry_indexes_.clear();
-  has_carry_ = true;
-}
-
-const ChainAccumulator::CarryIndex& ChainAccumulator::carry_index(
-    const std::vector<std::size_t>& cols) {
-  for (const CarryIndex& ix : carry_indexes_) {
-    if (ix.cols == cols) return ix;
+  if (carry.dictionary() == nullptr || carry.dictionary() == dict_) {
+    rekeyed_carry_.reset();
+    carry_ = &carry;
+  } else {
+    rekeyed_carry_ = std::make_unique<const SolutionSet>(carry.rekeyed(dict_));
+    carry_ = rekeyed_carry_.get();
   }
-  CarryIndex ix;
-  ix.cols = cols;
-  const std::size_t width = carry_.vars.size();
-  std::vector<TermId> key(cols.size());
-  for (std::size_t r = 0; r < carry_.rows; ++r) {
-    const TermId* row = carry_.cells.data() + r * width;
-    bool full = true;
-    for (std::size_t k = 0; k < cols.size() && full; ++k) {
-      key[k] = row[cols[k]];
-      full = key[k] != kUnbound;
-    }
-    if (full) {
-      ix.keyed.emplace_back(hash_ids(key.data(), key.size()), r);
-    } else {
-      ix.partial.push_back(r);
-    }
-  }
-  std::sort(ix.keyed.begin(), ix.keyed.end());
-  carry_indexes_.push_back(std::move(ix));
-  return carry_indexes_.back();
+  carry_index_.reset();
 }
 
-void ChainAccumulator::add(const rdf::TripleStore& store,
-                           const BgpPattern& p) {
-  local_.rows = match_ids(store, p, local_.vars, local_.cells);
-  import_local(store.dictionary());
-  merge_local();
-}
-
-void ChainAccumulator::import_local(const rdf::TermDictionary& from) {
+SolutionSet ChainAccumulator::matches(const rdf::TripleStore& store,
+                                      const BgpPattern& p) {
+  std::vector<std::string> vars;
+  std::vector<TermId> cells;
+  const std::size_t rows = match_ids(store, p, vars, cells);
+  // Re-key the store's ids into dict_, interning each term once.
+  const rdf::TermDictionary& from = store.dictionary();
   if (memo_.size() < from.size()) memo_.resize(from.size(), kUnbound);
-  for (TermId& id : local_.cells) {
+  for (TermId& id : cells) {
     TermId& to = memo_[id];
     if (to == kUnbound) {
       to = dict_->intern(from.term(id), from.hash_of(id));
@@ -180,151 +144,72 @@ void ChainAccumulator::import_local(const rdf::TermDictionary& from) {
   }
   for (TermId id : imported_) memo_[id] = kUnbound;
   imported_.clear();
+  return SolutionSet(dict_, std::move(vars), std::move(cells), rows);
 }
 
-void ChainAccumulator::merge_local() {
-  if (has_carry_) {
-    join_carry();
-  } else {
-    const std::size_t width = local_.vars.size();
-    std::vector<Slot> slots;
-    for (std::size_t r = 0; r < local_.rows; ++r) {
-      const TermId* row = local_.cells.data() + r * width;
-      slots.clear();
-      for (std::size_t c = 0; c < width; ++c) {
-        if (row[c] != kUnbound) slots.push_back({&local_.vars[c], row[c]});
-      }
-      insert_row(slots);
+void ChainAccumulator::merge(const SolutionSet& contribution) {
+  assert((contribution.dictionary() == nullptr ||
+          contribution.dictionary() == dict_) &&
+         "a contribution over another dictionary");
+  if (carry_ == nullptr) {
+    insert_rows(contribution);
+  } else if (!contribution.empty()) {
+    // A scan's matches all bind the pattern's variables, so every hop
+    // probes the carry on the same key and one index serves them all.
+    if (!carry_index_.has_value() ||
+        carry_index_->probe_vars() != contribution.vars()) {
+      carry_index_.emplace(*carry_, contribution.vars());
     }
+    insert_rows(carry_index_->join(contribution));
   }
   if (!fresh_.empty()) merge_sorted_terms(parts_, fresh_);
 }
 
-void ChainAccumulator::join_carry() {
-  const IdRows& in = local_;
-  const std::size_t width = in.vars.size();
-  std::vector<Slot> slots;
-
-  // Join with the carry (hash join in id space). Only the set of merged
-  // rows matters — they are deduplicated into the accumulator — so the
-  // emission order is free.
-  const std::size_t cwidth = carry_.vars.size();
-  std::vector<std::size_t> to_carry(width, kNoCol);  // local col -> carry col
-  for (std::size_t c = 0; c < width; ++c) {
-    auto it = std::lower_bound(carry_.vars.begin(), carry_.vars.end(),
-                               in.vars[c]);
-    if (it != carry_.vars.end() && *it == in.vars[c]) {
-      to_carry[c] = static_cast<std::size_t>(it - carry_.vars.begin());
+void ChainAccumulator::insert_rows(const SolutionSet& s) {
+  // Place the set's columns on the schema, growing it for a variable no
+  // earlier row bound (rare: at most once per variable of the scan). Every
+  // variable of s is bound by one of its rows, which either is inserted or
+  // repeats a row that binds it already.
+  for (const std::string& v : s.vars()) {
+    if (!std::binary_search(parts_.vars.begin(), parts_.vars.end(), v)) {
+      add_var(v);
     }
   }
-  std::vector<std::size_t> cols;
-  std::vector<std::size_t> shared_local;
-  std::vector<TermId> key;
-  for (std::size_t r = 0; r < in.rows; ++r) {
-    const TermId* row = in.cells.data() + r * width;
-    cols.clear();
-    shared_local.clear();
-    key.clear();
-    for (std::size_t c = 0; c < width; ++c) {
-      if (row[c] != kUnbound && to_carry[c] != kNoCol) {
-        cols.push_back(to_carry[c]);
-        shared_local.push_back(c);
-        key.push_back(row[c]);
-      }
-    }
-    const CarryIndex& ix = carry_index(cols);
-    auto emit_if_compatible = [&](std::size_t cr) {
-      const TermId* crow = carry_.cells.data() + cr * cwidth;
-      for (std::size_t k = 0; k < cols.size(); ++k) {
-        const TermId x = crow[cols[k]];
-        if (x != kUnbound && x != row[shared_local[k]]) return;
-      }
-      // Merge both rows' bound slots by variable name; shared variables
-      // carry equal ids (compatible), so either side's id will do.
-      slots.clear();
-      std::size_t a = 0;
-      std::size_t b = 0;
-      for (;;) {
-        while (a < cwidth && crow[a] == kUnbound) ++a;
-        while (b < width && row[b] == kUnbound) ++b;
-        if (a == cwidth && b == width) break;
-        if (b == width || (a < cwidth && carry_.vars[a] < in.vars[b])) {
-          slots.push_back({&carry_.vars[a], crow[a]});
-          ++a;
-        } else if (a == cwidth || in.vars[b] < carry_.vars[a]) {
-          slots.push_back({&in.vars[b], row[b]});
-          ++b;
-        } else {
-          slots.push_back({&carry_.vars[a], crow[a]});
-          ++a;
-          ++b;
-        }
-      }
-      insert_row(slots);
-    };
-    const std::pair<std::uint64_t, std::size_t> lo{
-        hash_ids(key.data(), key.size()), 0};
-    for (auto it = std::lower_bound(ix.keyed.begin(), ix.keyed.end(), lo);
-         it != ix.keyed.end() && it->first == lo.first; ++it) {
-      emit_if_compatible(it->second);
-    }
-    for (std::size_t cr : ix.partial) emit_if_compatible(cr);
+  std::vector<std::size_t> to(s.width());  // s column -> schema column
+  for (std::size_t c = 0; c < s.width(); ++c) {
+    to[c] = static_cast<std::size_t>(
+        std::lower_bound(parts_.vars.begin(), parts_.vars.end(),
+                         s.vars()[c]) -
+        parts_.vars.begin());
   }
-}
-
-void ChainAccumulator::insert_row(const std::vector<Slot>& slots) {
-  // Place the slots on the schema, growing it for a variable no earlier
-  // row bound (rare: at most once per variable of the scan).
-  std::size_t width = parts_.vars.size();
-  std::size_t c = 0;
-  for (const Slot& s : slots) {
-    while (c < width && parts_.vars[c] < *s.var) ++c;
-    if (c == width || parts_.vars[c] != *s.var) {
-      add_var(*s.var);
-      width = parts_.vars.size();
-    }
-    ++c;
-  }
-  const std::size_t row = parts_.rows;
-  parts_.cells.resize(parts_.cells.size() + width, kUnbound);
-  TermId* cells = parts_.cells.data() + row * width;
-  c = 0;
-  for (const Slot& s : slots) {
-    while (parts_.vars[c] != *s.var) ++c;
-    cells[c++] = s.id;
-  }
-  ++parts_.rows;
-
-  // Probe for an equal row; the tentative row is dropped if one exists.
-  if (table_.size() < 2 * parts_.rows) {
-    rehash(std::max<std::size_t>(16, 2 * table_.size()), row);
-  }
-  const std::size_t mask = table_.size() - 1;
-  for (std::size_t i = row_hash(row) & mask;; i = (i + 1) & mask) {
-    if (table_[i] == kEmptySlot) {
-      table_[i] = static_cast<std::uint32_t>(row);
-      break;
-    }
-    if (rows_equal(table_[i], row)) {
+  const std::size_t width = parts_.vars.size();
+  for (std::size_t r = 0; r < s.size(); ++r) {
+    const TermId* in = s.row(r);
+    const std::size_t row = parts_.rows;
+    parts_.cells.resize(parts_.cells.size() + width, kUnbound);
+    TermId* cells = parts_.cells.data() + row * width;
+    for (std::size_t c = 0; c < s.width(); ++c) cells[to[c]] = in[c];
+    ++parts_.rows;
+    if (!index_if_new(row)) {  // the tentative row repeats one: drop it
       --parts_.rows;
       parts_.cells.resize(parts_.rows * width);
-      return;
+      continue;
     }
-  }
 
-  std::size_t bytes = Binding{}.byte_size();
-  for (const Slot& s : slots) {
-    bytes += Binding::slot_bytes(*s.var, dict_->term(s.id));
-    if (parts_.rank.size() <= s.id) {
-      parts_.rank.resize(dict_->size(), kNoRank);
+    std::size_t bytes = Binding{}.byte_size();
+    for (std::size_t c = 0; c < s.width(); ++c) {
+      const TermId id = in[c];
+      if (id == kUnbound) continue;
+      bytes += Binding::slot_bytes(s.vars()[c], dict_->term(id));
+      if (parts_.rank.size() <= id) parts_.rank.resize(dict_->size(), kNoRank);
+      if (parts_.rank[id] == kNoRank) {
+        parts_.rank[id] = kPending;
+        fresh_.push_back(id);
+      }
     }
-    if (parts_.rank[s.id] == kNoRank) {
-      parts_.rank[s.id] = kPending;
-      fresh_.push_back(s.id);
-    }
+    raw_bytes_ += bytes;
+    wire_cached_ = 0;
   }
-  raw_bytes_ += bytes;
-  wire_cached_ = 0;
 }
 
 void ChainAccumulator::add_var(const std::string& var) {
@@ -358,6 +243,20 @@ void ChainAccumulator::index_row(std::size_t row) {
   std::size_t i = row_hash(row) & mask;
   while (table_[i] != kEmptySlot) i = (i + 1) & mask;
   table_[i] = static_cast<std::uint32_t>(row);
+}
+
+bool ChainAccumulator::index_if_new(std::size_t row) {
+  if (table_.size() < 2 * parts_.rows) {
+    rehash(std::max<std::size_t>(16, 2 * table_.size()), row);
+  }
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t i = row_hash(row) & mask;; i = (i + 1) & mask) {
+    if (table_[i] == kEmptySlot) {
+      table_[i] = static_cast<std::uint32_t>(row);
+      return true;
+    }
+    if (rows_equal(table_[i], row)) return false;
+  }
 }
 
 void ChainAccumulator::rehash(std::size_t capacity, std::size_t rows) {

@@ -2,7 +2,9 @@
 // OPTIONAL condition), filter, union and distinct — over dictionary ids.
 //
 // Every operator reads its operands' TermId cells directly: rows are
-// compared as fixed-width id tuples, hash-join keys are id tuples, and
+// compared as fixed-width id tuples, hash-join keys are id tuples (one
+// join core serves join, left_join and, through JoinIndex, the chain
+// carry of the in-network merge), and
 // FILTER conditions are evaluated once per distinct id tuple of the
 // expression's variables (only those slots are decoded, into a Binding for
 // satisfies). Output rows are id rows over the left operand's dictionary.
@@ -13,6 +15,8 @@
 // Row order is part of the contract (the executor's results, plan notes and
 // traffic depend on it) and is pinned by tests/sparql/kernel_golden_test.cpp.
 #include <algorithm>
+#include <cassert>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -76,9 +80,8 @@ struct MergeSchema {
   std::vector<SharedCol> shared;
 };
 
-MergeSchema merge_schema(const SolutionSet& sa, const SolutionSet& sb) {
-  const std::vector<std::string>& va = sa.vars();
-  const std::vector<std::string>& vb = sb.vars();
+MergeSchema merge_schema(const std::vector<std::string>& va,
+                         const std::vector<std::string>& vb) {
   MergeSchema m;
   m.from_a.resize(va.size());
   m.from_b.resize(vb.size());
@@ -128,16 +131,10 @@ void merge_cells(const TermId* ra, std::size_t wa, const TermId* rb,
   }
 }
 
-std::uint64_t hash_ids(const TermId* ids, std::size_t n) noexcept {
-  std::uint64_t h = n;
-  for (std::size_t i = 0; i < n; ++i) h = common::mix64(h ^ ids[i]);
-  return h;
-}
-
 /// b's rows indexed on the shared key: rows binding every shared variable
 /// sorted by (key hash, row) — a group is an equal_range on the hash, in
 /// row order — and the rows missing one (possible after OPTIONAL), which
-/// must be checked pairwise.
+/// must be checked pairwise. Empty when no variable is shared.
 struct KeyIndex {
   std::vector<std::pair<std::uint64_t, std::size_t>> keyed;
   std::vector<std::size_t> partial;
@@ -158,6 +155,7 @@ bool shared_key(const TermId* row, const MergeSchema& m, bool a_side,
 
 KeyIndex index_b(const SolutionSet& b, const MergeSchema& m) {
   KeyIndex ix;
+  if (m.shared.empty()) return ix;
   std::vector<TermId> key;
   for (std::size_t rb = 0; rb < b.size(); ++rb) {
     if (shared_key(b.row(rb), m, false, key)) {
@@ -170,14 +168,15 @@ KeyIndex index_b(const SolutionSet& b, const MergeSchema& m) {
   return ix;
 }
 
-/// The join core shared by join and left_join. Emission order: per a-row
-/// in order, full-key group matches in b order, then partial rows, with a
-/// full scan for a-rows missing part of the shared key. (A hash collision
-/// only adds candidates that compatible() rejects.) When `matched` is
-/// non-null it records, per a-row, whether any pair was emitted (the
-/// LeftJoin minus part needs it).
+/// The join core shared by join, left_join and JoinIndex, probing `ix`
+/// (index_b(b, m)). Emission order: per a-row in order, full-key group
+/// matches in b order, then partial rows, with a full scan for a-rows
+/// missing part of the shared key. (A hash collision only adds candidates
+/// that compatible() rejects.) When `matched` is non-null it records, per
+/// a-row, whether any pair was emitted (the LeftJoin minus part needs it).
 void join_core(const SolutionSet& a, const SolutionSet& b,
-               const MergeSchema& m, Rows& out, std::vector<char>* matched) {
+               const MergeSchema& m, const KeyIndex& ix, Rows& out,
+               std::vector<char>* matched) {
   if (matched != nullptr) matched->assign(a.size(), 0);
   std::vector<TermId> buf;
   auto emit = [&](std::size_t ra, std::size_t rb) {
@@ -194,7 +193,6 @@ void join_core(const SolutionSet& a, const SolutionSet& b,
     return;
   }
 
-  const KeyIndex ix = index_b(b, m);
   std::vector<TermId> key;
   for (std::size_t ra = 0; ra < a.size(); ++ra) {
     const TermId* row = a.row(ra);
@@ -273,20 +271,54 @@ class FilterMemo {
 
 }  // namespace
 
+std::uint64_t hash_ids(const TermId* ids, std::size_t n) noexcept {
+  std::uint64_t h = n;
+  for (std::size_t i = 0; i < n; ++i) h = common::mix64(h ^ ids[i]);
+  return h;
+}
+
+struct JoinIndex::Core {
+  const SolutionSet* b;
+  std::vector<std::string> probe_vars;
+  MergeSchema m;
+  KeyIndex ix;
+};
+
+JoinIndex::JoinIndex(const SolutionSet& b,
+                     const std::vector<std::string>& probe_vars) {
+  MergeSchema m = merge_schema(probe_vars, b.vars());
+  KeyIndex ix = index_b(b, m);
+  core_ = std::make_unique<const Core>(
+      Core{&b, probe_vars, std::move(m), std::move(ix)});
+}
+
+JoinIndex::JoinIndex(JoinIndex&&) noexcept = default;
+JoinIndex& JoinIndex::operator=(JoinIndex&&) noexcept = default;
+JoinIndex::~JoinIndex() = default;
+
+const std::vector<std::string>& JoinIndex::probe_vars() const noexcept {
+  return core_->probe_vars;
+}
+
+SolutionSet JoinIndex::join(const SolutionSet& a) const {
+  const Core& c = *core_;
+  assert(a.vars() == c.probe_vars && "a left operand over another schema");
+  Rows out;
+  join_core(a, *c.b, c.m, c.ix, out, nullptr);
+  return SolutionSet(output_dictionary(a, *c.b), c.m.vars,
+                     std::move(out.cells), out.n);
+}
+
 SolutionSet join(const SolutionSet& a, const SolutionSet& b_in) {
   SolutionSet scratch;
   const SolutionSet& b = aligned(a, b_in, scratch);
-  MergeSchema m = merge_schema(a, b);
-  Rows out;
-  join_core(a, b, m, out, nullptr);
-  return SolutionSet(output_dictionary(a, b), std::move(m.vars),
-                     std::move(out.cells), out.n);
+  return JoinIndex(b, a.vars()).join(a);
 }
 
 SolutionSet set_union(const SolutionSet& a, const SolutionSet& b_in) {
   SolutionSet scratch;
   const SolutionSet& b = aligned(a, b_in, scratch);
-  MergeSchema m = merge_schema(a, b);
+  MergeSchema m = merge_schema(a.vars(), b.vars());
   Rows out;
   out.cells.reserve((a.size() + b.size()) * m.vars.size());
   std::vector<TermId> buf;
@@ -306,7 +338,7 @@ SolutionSet set_union(const SolutionSet& a, const SolutionSet& b_in) {
 SolutionSet minus(const SolutionSet& a, const SolutionSet& b_in) {
   SolutionSet scratch;
   const SolutionSet& b = aligned(a, b_in, scratch);
-  const MergeSchema m = merge_schema(a, b);
+  const MergeSchema m = merge_schema(a.vars(), b.vars());
   Rows out;
   for (std::size_t ra = 0; ra < a.size(); ++ra) {
     bool any = false;
@@ -321,10 +353,10 @@ SolutionSet minus(const SolutionSet& a, const SolutionSet& b_in) {
 SolutionSet left_join(const SolutionSet& a, const SolutionSet& b_in) {
   SolutionSet scratch;
   const SolutionSet& b = aligned(a, b_in, scratch);
-  MergeSchema m = merge_schema(a, b);
+  MergeSchema m = merge_schema(a.vars(), b.vars());
   Rows out;
   std::vector<char> matched;
-  join_core(a, b, m, out, &matched);
+  join_core(a, b, m, index_b(b, m), out, &matched);
   // (O1 - O2): an a-row that emitted no pair has no compatible partner
   // (rows outside its key group differ on a both-bound shared var; partial
   // and full-scan paths were checked pairwise).
@@ -344,14 +376,14 @@ SolutionSet left_join_conditioned(const SolutionSet& a,
   if (cond == nullptr) return left_join(a, b_in);
   SolutionSet scratch;
   const SolutionSet& b = aligned(a, b_in, scratch);
-  MergeSchema m = merge_schema(a, b);
+  MergeSchema m = merge_schema(a.vars(), b.vars());
   const std::shared_ptr<rdf::TermDictionary>& dict = output_dictionary(a, b);
   FilterMemo holds(*cond, m.vars, dict.get());
 
   // Each a-row extends with its compatible b-rows in b order: the key
   // group and the partial rows, merged by row index, or every row when the
   // a-row misses part of the shared key.
-  const KeyIndex ix = m.shared.empty() ? KeyIndex{} : index_b(b, m);
+  const KeyIndex ix = index_b(b, m);
   std::vector<std::size_t> candidates;
   std::vector<TermId> key;
   std::vector<TermId> buf;
