@@ -1,6 +1,7 @@
 #include "overlay/location_table.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace ahsw::overlay {
 
@@ -182,54 +183,224 @@ void LocationTable::upsert_replica(chord::Key key, net::NodeAddress address,
   sort_row(row);
 }
 
-void LocationTable::reconcile(const RowSnapshot& rows) {
-  for (const Row& incoming : rows) {
-    const chord::Key key = incoming.key;
-    // Locate the row lazily: when every incoming provider is rejected
-    // (tombstoned or stale) no empty row must churn into existence just to
-    // be erased again.
-    std::size_t ri = row_index(key);
-    bool changed = false;
-    for (const Provider& in : incoming.providers) {
-      if (in.frequency == 0) continue;  // replicas never mirror empty entries
-      // A deleted provider only comes back when the snapshot is strictly
-      // newer than its burial (it demonstrably re-published since).
-      if (std::optional<std::uint32_t> buried =
-              tombstone_version(key, in.address);
-          buried.has_value()) {
-        if (*buried >= in.version) continue;
-        (void)revive(key, in.address);
-      }
-      if (ri == kNpos) ri = row_index_or_insert(key);
-      bool found = false;
-      for (Provider& p : rows_[ri].providers) {
-        if (p.address != in.address) continue;
-        found = true;
-        if (in.version > p.version) {
-          // Newer snapshot wins outright — including a *lower* frequency
-          // (the partial-retract case the old max-merge resurrected).
-          p.frequency = in.frequency;
-          p.version = in.version;
-          changed = true;
-        } else if (in.version == p.version) {
-          // Same causal state from several replica holders: max keeps the
-          // merge idempotent without inflating the row.
-          if (in.frequency > p.frequency) {
-            p.frequency = in.frequency;
-            changed = true;
-          }
-        }
-        break;
-      }
-      if (!found) {
-        rows_[ri].providers.push_back(in);
-        changed = true;
-      }
+namespace {
+
+const Row& deref(const Row& r) { return r; }
+const Row& deref(const Row* r) { return *r; }
+
+bool tombstone_less(const Tombstone& a, const Tombstone& b) {
+  if (a.key != b.key) return a.key < b.key;
+  return a.address < b.address;
+}
+
+bool row_less(const Row& a, const Row& b) { return a.key < b.key; }
+
+/// Merge ascending `from` into ascending `into` in place, from the back:
+/// one move per displaced element, no second buffer. No element of `from`
+/// compares equal to one of `into`.
+template <typename T, typename Less>
+void splice_sorted(std::vector<T>& into, std::vector<T>& from, Less less) {
+  std::size_t i = into.size();
+  std::size_t j = from.size();
+  into.resize(i + j);
+  std::size_t out = into.size();
+  while (j > 0) {
+    if (i > 0 && less(from[j - 1], into[i - 1])) {
+      into[--out] = std::move(into[--i]);
+    } else {
+      into[--out] = std::move(from[--j]);
     }
-    if (ri == kNpos) continue;
-    if (changed) sort_row(rows_[ri].providers);
-    if (rows_[ri].providers.empty()) erase_row_at(ri);
   }
+}
+
+}  // namespace
+
+struct LocationTable::MergeWalk {
+  explicit MergeWalk(LocationTable& t) : table(t) {}
+
+  LocationTable& table;
+  chord::Key key = 0;
+  std::vector<Provider>* row = nullptr;  // the key's row; nullptr while absent
+  std::size_t tomb_lo = 0;               // tombstones_[tomb_lo, tomb_hi)
+  std::size_t tomb_hi = 0;               //   carry `key`
+  bool changed = false;                  // the row needs sort_row()
+  std::vector<Row> added;                // rows new to the table, ascending
+  std::vector<Tombstone> buried;         // burials new to the table
+  std::vector<std::size_t> revived;      // tombstones_ indexes to drop
+  bool emptied = false;                  // a row lost its last entry
+
+  /// The key's tombstone for `address`, or nullptr.
+  Tombstone* tombstone(net::NodeAddress address) {
+    for (std::size_t i = tomb_lo; i < tomb_hi; ++i) {
+      if (table.tombstones_[i].address == address) return &table.tombstones_[i];
+    }
+    return nullptr;
+  }
+  void revive(const Tombstone* t) {
+    revived.push_back(static_cast<std::size_t>(t - table.tombstones_.data()));
+  }
+  void bury(net::NodeAddress address, std::uint32_t version) {
+    if (Tombstone* t = tombstone(address)) {
+      t->version = std::max(t->version, version);
+    } else {
+      buried.push_back(Tombstone{key, address, version});
+    }
+  }
+  std::vector<Provider>& row_or_insert() {
+    if (row == nullptr) {
+      added.push_back(Row{key, table.spare_.acquire()});
+      row = &added.back().providers;
+    }
+    return *row;
+  }
+};
+
+template <typename RowRange, typename EntryOp>
+void LocationTable::merge_rows(const RowRange& incoming, EntryOp apply) {
+  MergeWalk w(*this);
+  std::size_t ri = 0;
+  std::size_t ti = 0;
+  for (const auto& item : incoming) {
+    const Row& in = deref(item);
+    assert((&item == &*std::begin(incoming) || in.key > w.key) &&
+           "incoming rows must be strictly ascending by key");
+    w.key = in.key;
+    while (ri < rows_.size() && rows_[ri].key < in.key) ++ri;
+    w.row = ri < rows_.size() && rows_[ri].key == in.key ? &rows_[ri].providers
+                                                        : nullptr;
+    while (ti < tombstones_.size() && tombstones_[ti].key < in.key) ++ti;
+    w.tomb_lo = ti;
+    w.tomb_hi = ti;
+    while (w.tomb_hi < tombstones_.size() &&
+           tombstones_[w.tomb_hi].key == in.key) {
+      ++w.tomb_hi;
+    }
+    // The steady state between repairs: a row identical to the incoming
+    // one, with no burial under its key, stays as it is — each entry would
+    // meet its twin at an equal version and frequency. (Rows never hold a
+    // frequency-0 entry, so no removal push can match.)
+    if (w.row != nullptr && w.tomb_lo == w.tomb_hi &&
+        *w.row == in.providers) {
+      continue;
+    }
+    w.changed = false;
+    for (const Provider& p : in.providers) apply(w, p);
+    if (w.row == nullptr) continue;
+    if (w.changed) sort_row(*w.row);
+    if (!w.row->empty()) continue;
+    if (!w.added.empty() && w.row == &w.added.back().providers) {
+      spare_.release(std::move(w.added.back().providers));
+      w.added.pop_back();
+    } else {
+      w.emptied = true;
+    }
+  }
+
+  if (w.emptied) {
+    std::size_t keep = 0;
+    for (std::size_t r = 0; r < rows_.size(); ++r) {
+      if (rows_[r].providers.empty()) {
+        spare_.release(std::move(rows_[r].providers));
+        continue;
+      }
+      if (keep != r) rows_[keep] = std::move(rows_[r]);
+      ++keep;
+    }
+    rows_.resize(keep);
+  }
+  splice_sorted(rows_, w.added, row_less);
+  if (!w.revived.empty()) {
+    std::sort(w.revived.begin(), w.revived.end());
+    std::size_t keep = 0;
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < tombstones_.size(); ++i) {
+      if (next < w.revived.size() && w.revived[next] == i) {
+        ++next;
+        continue;
+      }
+      tombstones_[keep++] = tombstones_[i];
+    }
+    tombstones_.resize(keep);
+  }
+  std::sort(w.buried.begin(), w.buried.end(), tombstone_less);
+  splice_sorted(tombstones_, w.buried, tombstone_less);
+}
+
+namespace {
+
+/// reconcile()'s per-entry rule.
+template <typename Walk>
+void reconcile_entry(Walk& w, const Provider& in) {
+  if (in.frequency == 0) return;  // replicas never mirror empty entries
+  // A deleted provider only comes back when the snapshot is strictly
+  // newer than its burial (it demonstrably re-published since).
+  if (const Tombstone* t = w.tombstone(in.address)) {
+    if (t->version >= in.version) return;
+    w.revive(t);
+  }
+  std::vector<Provider>& row = w.row_or_insert();
+  for (Provider& p : row) {
+    if (p.address != in.address) continue;
+    if (in.version > p.version) {
+      // Newer snapshot wins outright — including a *lower* frequency
+      // (the partial-retract case the old max-merge resurrected).
+      p.frequency = in.frequency;
+      p.version = in.version;
+      w.changed = true;
+    } else if (in.version == p.version && in.frequency > p.frequency) {
+      // Same causal state from several replica holders: max keeps the
+      // merge idempotent without inflating the row.
+      p.frequency = in.frequency;
+      w.changed = true;
+    }
+    return;
+  }
+  row.push_back(in);
+  w.changed = true;
+}
+
+/// upsert_replica()'s rule, for one entry of mirror().
+template <typename Walk>
+void mirror_entry(Walk& w, const Provider& in) {
+  if (in.frequency == 0) {
+    w.bury(in.address, in.version);
+    if (w.row == nullptr) return;
+    std::erase_if(*w.row, [&](const Provider& p) {
+      return p.address == in.address && p.version <= in.version;
+    });
+    return;
+  }
+  if (const Tombstone* t = w.tombstone(in.address)) {
+    if (t->version >= in.version) return;  // stale push from before the burial
+    w.revive(t);
+  }
+  std::vector<Provider>& row = w.row_or_insert();
+  for (Provider& p : row) {
+    if (p.address != in.address) continue;
+    if (in.version < p.version) return;  // out-of-order push
+    if (p.frequency != in.frequency || p.version != in.version) {
+      p.frequency = in.frequency;
+      p.version = in.version;
+      w.changed = true;
+    }
+    return;
+  }
+  row.push_back(in);
+  w.changed = true;
+}
+
+}  // namespace
+
+void LocationTable::reconcile(const RowSnapshot& rows) {
+  merge_rows(rows, reconcile_entry<MergeWalk>);
+}
+
+void LocationTable::reconcile(std::span<const Row* const> rows) {
+  merge_rows(rows, reconcile_entry<MergeWalk>);
+}
+
+void LocationTable::mirror(const std::vector<Row>& rows) {
+  merge_rows(rows, mirror_entry<MergeWalk>);
 }
 
 bool LocationTable::purge(chord::Key key, net::NodeAddress address) {

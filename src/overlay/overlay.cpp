@@ -12,6 +12,15 @@ constexpr std::size_t kPublishBytes = 24;   // key + address + frequency
 // they are 4 bytes wider than a plain publish.
 constexpr std::size_t kReplicaPushBytes = 28;  // key + address + freq + version
 constexpr std::size_t kRequestBytes = 32;   // pattern key + requester
+
+/// The owner's entry for (key, provider) as replicas mirror it: the live
+/// entry, or frequency 0 with the buried version once it is gone.
+Provider current_entry(const LocationTable& table, chord::Key key,
+                       net::NodeAddress provider) {
+  if (const Provider* entry = table.find(key, provider)) return *entry;
+  return Provider{provider, 0,
+                  table.tombstone_version(key, provider).value_or(0)};
+}
 }  // namespace
 
 HybridOverlay::HybridOverlay(net::Network& network, OverlayConfig config)
@@ -157,38 +166,44 @@ void HybridOverlay::on_transfer(chord::Key old_owner, chord::Key new_owner,
   // Re-replicate the transferred rows from their new owner: replica
   // placement follows ownership, otherwise a later crash of the new owner
   // would lose rows whose replicas still trail the old owner.
+  std::vector<IndexNodeState*> targets = replica_targets(ni->second);
+  if (targets.empty()) return;
   for (const Row& r : slice) {
     for (const Provider& p : r.providers) {
-      replicate_row(ni->second, r.key, p.address, when);
+      replicate_row(ni->second, targets, r.key,
+                    current_entry(ni->second.table, r.key, p.address), when);
     }
   }
 }
 
-void HybridOverlay::replicate_row(IndexNodeState& owner, chord::Key key,
-                                  net::NodeAddress provider,
-                                  net::SimTime now) {
-  if (config_.replication_factor <= 1) return;
-  if (!ring_.contains(owner.id)) return;
-  // Replicas mirror the owner's (frequency, version) verbatim, so repeated
-  // replication (publish, slice transfer, recovery) is idempotent and
-  // reordered pushes are rejected by the version check. When the entry is
-  // gone the push carries frequency 0 with the buried tombstone version, so
-  // replicas bury the same version the owner did.
-  const Provider* entry = owner.table.find(key, provider);
-  std::uint32_t freq = entry ? entry->frequency : 0;
-  std::uint32_t version =
-      entry ? entry->version
-            : owner.table.tombstone_version(key, provider).value_or(0);
-  const chord::NodeState& rs = ring_.state(owner.id);
-  int copies = 0;
-  for (chord::Key succ : rs.successors) {
-    if (copies >= config_.replication_factor - 1) break;
+std::vector<IndexNodeState*> HybridOverlay::replica_targets(
+    const IndexNodeState& owner) {
+  std::vector<IndexNodeState*> targets;
+  if (config_.replication_factor <= 1 || !ring_.contains(owner.id)) {
+    return targets;
+  }
+  const auto copies = static_cast<std::size_t>(config_.replication_factor - 1);
+  for (chord::Key succ : ring_.state(owner.id).successors) {
+    if (targets.size() >= copies) break;
     auto it = index_.find(succ);
     if (it == index_.end() || succ == owner.id) continue;
-    net_->send(owner.address, it->second.address, kReplicaPushBytes, now,
+    targets.push_back(&it->second);
+  }
+  return targets;
+}
+
+void HybridOverlay::replicate_row(const IndexNodeState& owner,
+                                  const std::vector<IndexNodeState*>& targets,
+                                  chord::Key key, const Provider& entry,
+                                  net::SimTime now) {
+  // Replicas mirror the owner's (frequency, version) verbatim, so repeated
+  // replication (publish, slice transfer, recovery) is idempotent and
+  // reordered pushes are rejected by the version check.
+  for (IndexNodeState* target : targets) {
+    net_->send(owner.address, target->address, kReplicaPushBytes, now,
                net::Category::kIndex);
-    it->second.replicas.upsert_replica(key, provider, freq, version);
-    ++copies;
+    target->replicas.upsert_replica(key, entry.address, entry.frequency,
+                                    entry.version);
   }
 }
 
@@ -262,7 +277,11 @@ net::SimTime HybridOverlay::publish_key(net::NodeAddress from, chord::Key key,
       it->second.table.upsert(key, from, freq);
       break;
   }
-  replicate_row(it->second, key, from, t);
+  std::vector<IndexNodeState*> targets = replica_targets(it->second);
+  if (!targets.empty()) {
+    replicate_row(it->second, targets, key,
+                  current_entry(it->second.table, key, from), t);
+  }
   // Owner-side mutation: leased cached copies of this row are now stale —
   // push their invalidations (charged, they are real messages).
   push_invalidations(key, it->second.address, t, /*charge=*/true);
@@ -391,21 +410,14 @@ net::SimTime HybridOverlay::report_dead_provider(net::NodeAddress reporter,
   net::SimTime t = net_->send(reporter, it->second.address, kPublishBytes,
                               now, net::Category::kIndex);
   it->second.table.purge(key, dead);
-  if (config_.propagate_purge_to_replicas && config_.replication_factor > 1 &&
-      ring_.contains(owner)) {
-    // Forward the purge along the same successor walk replicate_row uses:
-    // a replica row left unpurged resurrects the dead provider as soon as
-    // the primary fails and repair() promotes it.
-    const chord::NodeState& rs = ring_.state(owner);
-    int copies = 0;
-    for (chord::Key succ : rs.successors) {
-      if (copies >= config_.replication_factor - 1) break;
-      auto hi = index_.find(succ);
-      if (hi == index_.end() || succ == owner) continue;
-      net_->send(it->second.address, hi->second.address, kReplicaPushBytes, t,
+  if (config_.propagate_purge_to_replicas) {
+    // Forward the purge to the replica holders: a replica row left unpurged
+    // resurrects the dead provider as soon as the primary fails and
+    // repair() promotes it.
+    for (IndexNodeState* holder : replica_targets(it->second)) {
+      net_->send(it->second.address, holder->address, kReplicaPushBytes, t,
                  net::Category::kIndex);
-      hi->second.replicas.purge(key, dead);
-      ++copies;
+      holder->replicas.purge(key, dead);
     }
   }
   // The row changed (the dead provider is gone): leased cached copies are
@@ -489,7 +501,10 @@ void HybridOverlay::repair(net::SimTime now) {
   }
   for (chord::Key holder_id : live) {
     IndexNodeState& holder = index_.at(holder_id);
-    std::vector<chord::Key> promoted;
+    // One key-ordered bucket of the holder's rows per owner: each owner
+    // table sees the same row sequence as row-at-a-time reconciling, holder
+    // by holder, but in one merge.
+    std::map<chord::Key, std::vector<const Row*>> buckets;
     for (const Row& r : holder.replicas.rows()) {
       chord::Key owner_id = ring_.oracle_successor(ring_.truncate(r.key));
       auto oi = index_.find(owner_id);
@@ -498,22 +513,34 @@ void HybridOverlay::repair(net::SimTime now) {
         net_->send(holder.address, oi->second.address,
                    8 + LocationTable::kProviderBytes * r.providers.size(),
                    now, net::Category::kIndex);
-      } else {
-        promoted.push_back(r.key);
       }
-      oi->second.table.reconcile({r});
+      buckets[owner_id].push_back(&r);
+    }
+    std::vector<chord::Key> promoted;
+    for (const auto& [owner_id, rows] : buckets) {
+      index_.at(owner_id).table.reconcile(rows);
+      if (owner_id != holder_id) continue;
+      for (const Row* r : rows) promoted.push_back(r->key);
     }
     for (chord::Key key : promoted) holder.replicas.erase_row(key);
   }
   // Owners re-replicate every row they now hold whose replicas may be
-  // stale (conservatively: all of them once per repair).
+  // stale (conservatively: all of them once per repair). Every entry is
+  // still pushed as one message per target; each target then mirrors the
+  // owner's whole table in one merge, which touches only the entries that
+  // changed.
   for (chord::Key owner_id : live) {
-    IndexNodeState& owner = index_.at(owner_id);
-    RowSnapshot rows = owner.table.rows();
-    for (const Row& r : rows) {
-      for (const Provider& p : r.providers) {
-        replicate_row(owner, r.key, p.address, now);
+    const IndexNodeState& owner = index_.at(owner_id);
+    std::vector<IndexNodeState*> targets = replica_targets(owner);
+    if (targets.empty()) continue;
+    for (std::size_t e = owner.table.entry_count(); e > 0; --e) {
+      for (IndexNodeState* target : targets) {
+        net_->send(owner.address, target->address, kReplicaPushBytes, now,
+                   net::Category::kIndex);
       }
+    }
+    for (IndexNodeState* target : targets) {
+      target->replicas.mirror(owner.table.rows());
     }
   }
 }

@@ -266,10 +266,17 @@ class HybridOverlay {
   /// (+ replicas).
   net::SimTime publish_key(net::NodeAddress from, chord::Key key,
                            std::uint32_t freq, PublishOp op, net::SimTime now);
-  /// Push a snapshot of the owner's current (key, provider) entry to the
-  /// owner's replica successors (idempotent; 0 removes the replica entry).
-  void replicate_row(IndexNodeState& owner, chord::Key key,
-                     net::NodeAddress provider, net::SimTime now);
+  /// The index nodes holding `owner`'s replicas: its first
+  /// replication_factor - 1 ring successors that are index nodes other than
+  /// itself (none without replication or once `owner` left the ring).
+  [[nodiscard]] std::vector<IndexNodeState*> replica_targets(
+      const IndexNodeState& owner);
+  /// Push the owner's current `entry` for `key` to its replica `targets`
+  /// (idempotent; frequency 0 with the buried version removes the replica
+  /// entry).
+  void replicate_row(const IndexNodeState& owner,
+                     const std::vector<IndexNodeState*>& targets,
+                     chord::Key key, const Provider& entry, net::SimTime now);
   void on_transfer(chord::Key old_owner, chord::Key new_owner, chord::Key lo,
                    chord::Key hi, net::SimTime when);
   /// Push the owner's invalidation of `key` to every lease subscriber
