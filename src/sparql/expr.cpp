@@ -33,9 +33,36 @@ ExprPtr Expr::binary(ExprKind k, ExprPtr a, ExprPtr b) {
   return e;
 }
 
+namespace {
+
+/// regex() flags from the evaluated flags argument: "i" selects case
+/// folding; anything else (or no argument) leaves the ECMAScript default.
+std::regex::flag_type regex_flags(const ExprValue& flags) {
+  auto out = std::regex::ECMAScript;
+  if (flags && flags->is_literal() &&
+      flags->lexical().find('i') != std::string::npos) {
+    out |= std::regex::icase;
+  }
+  return out;
+}
+
+}  // namespace
+
 ExprPtr Expr::regex(ExprPtr text, ExprPtr pattern, ExprPtr flags) {
   auto e = std::make_shared<Expr>();
   e->kind = ExprKind::kRegex;
+  const bool constant_flags =
+      flags == nullptr || flags->kind == ExprKind::kConst;
+  if (pattern->kind == ExprKind::kConst && pattern->constant.is_literal() &&
+      constant_flags) {
+    try {
+      e->compiled = std::make_shared<const std::regex>(
+          pattern->constant.lexical(),
+          regex_flags(flags ? ExprValue(flags->constant) : std::nullopt));
+    } catch (const std::regex_error&) {
+      // Left uncompiled: evaluation recompiles and yields the error value.
+    }
+  }
   e->args = {std::move(text), std::move(pattern)};
   if (flags != nullptr) e->args.push_back(std::move(flags));
   return e;
@@ -264,19 +291,17 @@ ExprValue evaluate(const Expr& e, const Binding& binding) {
     }
     case ExprKind::kRegex: {
       ExprValue text = evaluate(*e.args[0], binding);
+      if (e.compiled != nullptr) {
+        if (!text || !text->is_literal()) return std::nullopt;
+        return bool_term(std::regex_search(text->lexical(), *e.compiled));
+      }
       ExprValue pattern = evaluate(*e.args[1], binding);
       if (!text || !pattern || !text->is_literal() || !pattern->is_literal())
         return std::nullopt;
-      auto flags = std::regex::ECMAScript;
-      if (e.args.size() > 2) {
-        ExprValue f = evaluate(*e.args[2], binding);
-        if (f && f->is_literal() &&
-            f->lexical().find('i') != std::string::npos) {
-          flags |= std::regex::icase;
-        }
-      }
+      ExprValue flags;
+      if (e.args.size() > 2) flags = evaluate(*e.args[2], binding);
       try {
-        std::regex re(pattern->lexical(), flags);
+        std::regex re(pattern->lexical(), regex_flags(flags));
         return bool_term(std::regex_search(text->lexical(), re));
       } catch (const std::regex_error&) {
         return std::nullopt;

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <optional>
+#include <regex>
 #include <set>
 #include <string>
 #include <vector>
@@ -55,6 +56,11 @@ struct Expr {
   std::string var;          // kVar / kBound: variable name without '?'
   rdf::Term constant;       // kConst
   std::vector<ExprPtr> args;
+  /// kRegex whose pattern is a literal constant and whose flags are absent
+  /// or constant: the pattern compiled once at construction, shared
+  /// read-only by every evaluation (and thread). Null otherwise, including
+  /// for an invalid constant pattern, which evaluates to the error value.
+  std::shared_ptr<const std::regex> compiled;
 
   [[nodiscard]] static ExprPtr variable(std::string name);
   [[nodiscard]] static ExprPtr constant_term(rdf::Term t);

@@ -64,6 +64,54 @@ TEST(Expr, InvalidRegexIsErrorNotThrow) {
   EXPECT_FALSE(satisfies(*e, person_binding()));
 }
 
+TEST(Expr, ConstantRegexCompilesOnce) {
+  // A literal pattern with constant (or no) flags is compiled when the
+  // expression is built; every row then shares it.
+  EXPECT_NE(Expr::regex(Expr::variable("name"), lit("Smith"))->compiled,
+            nullptr);
+  ExprPtr folded =
+      Expr::regex(Expr::variable("name"), lit("SMITH"), lit("i"));
+  ASSERT_NE(folded->compiled, nullptr);
+  EXPECT_TRUE(satisfies(*folded, person_binding()));
+  Binding other;
+  other.set("name", Term::literal("Jane Doe"));
+  EXPECT_FALSE(satisfies(*folded, other));
+  // A pattern or flags bound per row stay per-row.
+  EXPECT_EQ(Expr::regex(Expr::variable("name"), Expr::variable("p"))->compiled,
+            nullptr);
+  EXPECT_EQ(Expr::regex(Expr::variable("name"), lit("smith"),
+                        Expr::variable("f"))
+                ->compiled,
+            nullptr);
+}
+
+TEST(Expr, InvalidConstantRegexIsErrorOnEveryRow) {
+  ExprPtr e = Expr::regex(Expr::variable("name"), lit("(unclosed"));
+  EXPECT_EQ(e->compiled, nullptr);
+  for (const char* name : {"John Smith", "(unclosed", ""}) {
+    Binding b;
+    b.set("name", Term::literal(name));
+    EXPECT_FALSE(evaluate(*e, b).has_value()) << name;
+  }
+  // A non-literal constant pattern is the error value as well.
+  ExprPtr iri_pattern = Expr::regex(
+      Expr::variable("name"), Expr::constant_term(Term::iri("http://e.org/")));
+  EXPECT_EQ(iri_pattern->compiled, nullptr);
+  EXPECT_FALSE(evaluate(*iri_pattern, person_binding()).has_value());
+}
+
+TEST(Expr, PerRowRegexPatternAndFlags) {
+  ExprPtr e = Expr::regex(Expr::variable("name"), Expr::variable("p"),
+                          Expr::variable("f"));
+  Binding b = person_binding();
+  b.set("p", Term::literal("smith"));
+  EXPECT_FALSE(satisfies(*e, b));  // f unbound: no case folding
+  b.set("f", Term::literal("i"));
+  EXPECT_TRUE(satisfies(*e, b));
+  b.set("p", Term::literal("(unclosed"));
+  EXPECT_FALSE(evaluate(*e, b).has_value());
+}
+
 TEST(Expr, NumericComparisons) {
   Binding b = person_binding();
   EXPECT_TRUE(satisfies(
